@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <exception>
+#include <future>
 #include <map>
 #include <mutex>
 #include <tuple>
@@ -43,9 +45,11 @@ std::string percent(double fraction) {
 // ground truth on a half-loaded tile and charges the gap against accuracy
 // (unmodelled IR drop is computation error, not just delay).  One solve per
 // device kind, memoised process-wide: the solve is a pure function of the
-// device, and a search promotes many points per device.
+// device, and a search promotes many points per device.  The first caller
+// for a device publishes a future before it solves, so concurrent callers
+// wait for that one solve instead of factoring the same tile again.
 std::mutex g_ir_cache_mutex;
-std::map<int, double> g_ir_error_cache;
+std::map<int, std::shared_future<double>> g_ir_error_cache;
 
 constexpr std::uint64_t kTileSeed = 0x9e3779b97f4a7c15ull;
 
@@ -94,15 +98,28 @@ double nodal_ir_error_uncached(device::DeviceKind dev) {
 
 double nodal_ir_error(device::DeviceKind dev) {
   const int key = static_cast<int>(dev);
-  {
-    std::lock_guard<std::mutex> lk(g_ir_cache_mutex);
-    const auto it = g_ir_error_cache.find(key);
-    if (it != g_ir_error_cache.end()) return it->second;
+  std::unique_lock<std::mutex> lk(g_ir_cache_mutex);
+  if (const auto it = g_ir_error_cache.find(key); it != g_ir_error_cache.end()) {
+    const std::shared_future<double> published = it->second;
+    lk.unlock();
+    return published.get();
   }
-  const double err = nodal_ir_error_uncached(dev);
-  std::lock_guard<std::mutex> lk(g_ir_cache_mutex);
-  g_ir_error_cache.emplace(key, err);
-  return err;
+  std::promise<double> computed;
+  g_ir_error_cache.emplace(key, computed.get_future().share());
+  lk.unlock();
+  // Solved outside the lock: different devices' tiles factor concurrently.
+  try {
+    const double err = nodal_ir_error_uncached(dev);
+    computed.set_value(err);
+    return err;
+  } catch (...) {
+    // Unpublish, so a later call retries; callers already waiting rethrow.
+    lk.lock();
+    g_ir_error_cache.erase(key);
+    lk.unlock();
+    computed.set_exception(std::current_exception());
+    throw;
+  }
 }
 
 // --- Monte-Carlo tier: resilience probe, memoised per (rate, age, seed) ---

@@ -41,6 +41,16 @@ std::size_t patch_bound(const CrossbarConfig& cfg) {
   return cfg.nodal_update_batch_limit != 0 ? cfg.nodal_update_batch_limit
                                            : std::max<std::size_t>(1, bw_est / 8);
 }
+
+// Status of a direct solve: converged iff its Jacobi-scaled residual clears
+// the Gauss-Seidel acceptance bar `tol`.
+SolveStatus direct_status(const NodalSolver::Result& res, double tol) {
+  SolveStatus s;
+  s.direct = true;
+  s.residual = res.residual;
+  s.converged = res.residual < tol;
+  return s;
+}
 }  // namespace
 
 std::string to_string(IrDropMode mode) {
@@ -393,10 +403,7 @@ std::vector<double> Crossbar::currents_nodal(const std::vector<double>& v_in,
           res = solver->solve(v_in.data(), out.data(), ws);
         }
       }
-      status = SolveStatus{};
-      status.direct = true;
-      status.residual = res.residual;
-      status.converged = res.residual < tol;
+      status = direct_status(res, tol);
       if (status.converged) return out;
       // Residual above the Gauss-Seidel acceptance bar (pathological
       // conditioning): fall through to the iterative cross-check rather than
@@ -558,24 +565,33 @@ std::vector<double> Crossbar::currents_nodal_gs(const std::vector<double>& v_in,
 }
 
 void Crossbar::currents_nodal_batch(const NodalSolver& solver, const MatrixD& v_in,
-                                    MatrixD& out,
-                                    std::vector<SolveStatus>* statuses) const {
-  // One forward/back substitution per RHS against the shared factorization.
-  // Each solve touches only its own rows of v_in/out plus per-chunk scratch,
-  // so the batch parallelises with bit-identical per-vector results at any
-  // thread count (the factorization itself is read-only here).
+                                    std::size_t first, MatrixD& out,
+                                    std::vector<SolveStatus>& statuses) const {
+  // Queries [first, batch) against the shared factorization, in blocks of
+  // NodalSolver::kBlock that each stream the factor once; a ragged last
+  // block solves its queries one at a time.  Either way every query gets
+  // solve()'s exact arithmetic, and each block touches only its own rows of
+  // v_in/out/statuses, so the batch parallelises over blocks with
+  // bit-identical per-query results at any thread count (the factorization
+  // itself is read-only here).
+  constexpr std::size_t kBlock = NodalSolver::kBlock;
   const std::size_t batch = v_in.rows();
   const double tol = kNodalTolRel * config_.read_voltage;
-  parallel_for(batch, 1, [&](std::size_t begin, std::size_t end, std::size_t) {
-    NodalSolver::Workspace ws;
-    for (std::size_t b = begin; b < end; ++b) {
-      const NodalSolver::Result res = solver.solve(v_in.row_data(b), out.row_data(b), ws);
-      if (statuses != nullptr) {
-        SolveStatus& s = (*statuses)[b];
-        s = SolveStatus{};
-        s.direct = true;
-        s.residual = res.residual;
-        s.converged = res.residual < tol;
+  const std::size_t blocks = (batch - first + kBlock - 1) / kBlock;
+  parallel_for(blocks, 1, [&](std::size_t begin, std::size_t end, std::size_t) {
+    // One scratch per pool thread, reused across every block it solves
+    // (n * kBlock doubles), so batched readouts do not churn the allocator.
+    thread_local NodalSolver::Workspace ws;
+    for (std::size_t blk = begin; blk < end; ++blk) {
+      const std::size_t b0 = first + blk * kBlock;
+      if (b0 + kBlock <= batch) {
+        NodalSolver::Result res[kBlock];
+        solver.solve_block(v_in.row_data(b0), v_in.cols(), out.row_data(b0), out.cols(), res,
+                           ws);
+        for (std::size_t k = 0; k < kBlock; ++k) statuses[b0 + k] = direct_status(res[k], tol);
+      } else {
+        for (std::size_t b = b0; b < batch; ++b)
+          statuses[b] = direct_status(solver.solve(v_in.row_data(b), out.row_data(b), ws), tol);
       }
     }
   });
@@ -675,7 +691,7 @@ MatrixD Crossbar::readout_batch(const MatrixD& inputs,
       const std::shared_ptr<const NodalSolver> solver =
           config_.nodal_direct ? ensure_factorized() : nullptr;
       if (solver != nullptr) {
-        currents_nodal_batch(*solver, v_in, out, &local);
+        currents_nodal_batch(*solver, v_in, 0, out, local);
         // Drift retry, batched: replicate what the sequential single-query
         // path would do.  The first query to miss the tolerance on an
         // incrementally updated factor triggers one refactorization; every
@@ -690,23 +706,8 @@ MatrixD Crossbar::readout_batch(const MatrixD& inputs,
             }
           }
           if (first_bad < batch) {
-            if (const auto fresh = refactorize_fresh()) {
-              const std::size_t tail = batch - first_bad;
-              const double tol = kNodalTolRel * config_.read_voltage;
-              parallel_for(tail, 1, [&](std::size_t begin, std::size_t end, std::size_t) {
-                NodalSolver::Workspace ws;
-                for (std::size_t t = begin; t < end; ++t) {
-                  const std::size_t b = first_bad + t;
-                  const NodalSolver::Result res =
-                      fresh->solve(v_in.row_data(b), out.row_data(b), ws);
-                  SolveStatus& s = local[b];
-                  s = SolveStatus{};
-                  s.direct = true;
-                  s.residual = res.residual;
-                  s.converged = res.residual < tol;
-                }
-              });
-            }
+            if (const auto fresh = refactorize_fresh())
+              currents_nodal_batch(*fresh, v_in, first_bad, out, local);
           }
         }
         // A direct solve that misses the tolerance falls back to the

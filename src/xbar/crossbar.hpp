@@ -253,9 +253,11 @@ class Crossbar {
   /// Iterative red-black Gauss-Seidel path (optionally warm-started).
   std::vector<double> currents_nodal_gs(const std::vector<double>& v_in,
                                         SolveStatus& status) const;
-  /// Factorized multi-RHS path; rhs/out are [batch x rows]/[batch x cols].
+  /// Factorized multi-RHS path over queries [first, batch); rhs/out are
+  /// [batch x rows]/[batch x cols], statuses has one entry per query.
   void currents_nodal_batch(const NodalSolver& solver, const MatrixD& v_in,
-                            MatrixD& out, std::vector<SolveStatus>* statuses) const;
+                            std::size_t first, MatrixD& out,
+                            std::vector<SolveStatus>& statuses) const;
   /// DAC-quantised, read_voltage-scaled row voltages for one input vector.
   std::vector<double> quantise_input(const std::vector<double>& input) const;
   /// Lazily build (once per programming state) and return the cached direct

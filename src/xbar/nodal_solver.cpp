@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "core/counters.hpp"
 #include "util/error.hpp"
@@ -217,65 +218,154 @@ void NodalSolver::reset() noexcept {
   vals_.shrink_to_fit();
 }
 
-NodalSolver::Result NodalSolver::solve(const double* v_in, double* i_col,
-                                       Workspace& ws) const {
+namespace {
+
+// The values one node holds across W queries in flight, kept in registers:
+// W / 2 two-wide vectors (a plain double when W == 1).  GCC keeps plain
+// double[W] accumulators in memory, which gains nothing over one query at a
+// time; explicit vectors stay in registers.  Every operation is lane-wise
+// IEEE arithmetic in the scalar expression's operand order, so lane k
+// computes exactly what a one-query solve computes.  This TU is never built
+// with -march=native: on an FMA target the compiler may contract `s - a * b`
+// into one rounding, which breaks bit-identity with the portable build.
+using V2 = double __attribute__((vector_size(16)));
+
+template <std::size_t W>
+struct Lanes {
+  static_assert(W % 2 == 0, "query blocks are whole vectors");
+  V2 v[W / 2];
+
+  // One 16-byte copy per vector: copying the whole array at once takes its
+  // address, and GCC then spills the accumulators to the stack.
+  static Lanes load(const double* p) {
+    Lanes l;
+#pragma GCC unroll 8
+    for (std::size_t j = 0; j < W / 2; ++j) {
+      V2 t;
+      std::memcpy(&t, p + 2 * j, sizeof t);
+      l.v[j] = t;
+    }
+    return l;
+  }
+  void store(double* p) const {
+#pragma GCC unroll 8
+    for (std::size_t j = 0; j < W / 2; ++j) {
+      const V2 t = v[j];
+      std::memcpy(p + 2 * j, &t, sizeof t);
+    }
+  }
+  /// this -= a * b, lane by lane.
+  void sub_mul(double a, const Lanes& b) {
+    const V2 av = {a, a};
+#pragma GCC unroll 8
+    for (std::size_t j = 0; j < W / 2; ++j) v[j] -= av * b.v[j];
+  }
+  void div(double d) {
+    const V2 dv = {d, d};
+#pragma GCC unroll 8
+    for (std::size_t j = 0; j < W / 2; ++j) v[j] /= dv;
+  }
+};
+
+template <>
+struct Lanes<1> {
+  double v;
+
+  static Lanes load(const double* p) { return Lanes{*p}; }
+  void store(double* p) const { *p = v; }
+  void sub_mul(double a, const Lanes& b) { v -= a * b.v; }
+  void div(double d) { v /= d; }
+};
+
+}  // namespace
+
+template <std::size_t W>
+void NodalSolver::substitute(const double* v_in, std::size_t v_stride, double* i_col,
+                             std::size_t i_stride, Result* res, Workspace& ws) const {
   XLDS_REQUIRE_MSG(ready_, "NodalSolver::solve before a successful factorize");
+  using L = Lanes<W>;
   const double gw = g_wire_;
-  core::Profiler::count_direct_solve();
+  for (std::size_t k = 0; k < W; ++k) core::Profiler::count_direct_solve();
 
+  // Node-major scratch: node i's value for query k lives at y[i * W + k].
   // RHS: the driver ties inject gw * v_in[r] at each row's first node.
-  ws.y.assign(n_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) ws.y[node_v(r, 0)] = gw * v_in[r];
-
-  // Forward substitution L y = b (unit lower triangle, in place on ws.y).
+  ws.y.assign(n_ * W, 0.0);
   double* y = ws.y.data();
+  for (std::size_t r = 0; r < rows_; ++r)
+    for (std::size_t k = 0; k < W; ++k)
+      y[node_v(r, 0) * W + k] = gw * v_in[k * v_stride + r];
+
+  // Forward substitution L y = b (unit lower triangle, in place).
   for (std::size_t i = 0; i < n_; ++i) {
     const std::size_t si = start_[i];
     const double* ri = vals_.data() + off_[i];
-    double s = y[i];
+    const double* ys = y + si * W;
+    L s = L::load(y + i * W);
     const std::size_t len = i - si;
-    const double* ys = y + si;
-    for (std::size_t t = 0; t < len; ++t) s -= ri[t] * ys[t];
-    y[i] = s;
+    for (std::size_t t = 0; t < len; ++t) s.sub_mul(ri[t], L::load(ys + t * W));
+    s.store(y + i * W);
   }
 
   // Diagonal scaling, then back substitution L^T x = y (row-saxpy form:
-  // contiguous profile rows, unit diagonal).
-  ws.x.resize(n_);
-  double* x = ws.x.data();
-  for (std::size_t i = 0; i < n_; ++i) x[i] = y[i] / vals_[off_[i + 1] - 1];
+  // contiguous profile rows, unit diagonal), both in place: y becomes x.
+  double* x = y;
+  for (std::size_t i = 0; i < n_; ++i) {
+    L xi = L::load(x + i * W);
+    xi.div(vals_[off_[i + 1] - 1]);
+    xi.store(x + i * W);
+  }
   for (std::size_t i = n_; i-- > 0;) {
     const std::size_t si = start_[i];
     const double* ri = vals_.data() + off_[i];
-    const double xi = x[i];
-    double* xs = x + si;
+    const L xi = L::load(x + i * W);
+    double* xs = x + si * W;
     const std::size_t len = i - si;
-    for (std::size_t t = 0; t < len; ++t) xs[t] -= ri[t] * xi;
+    for (std::size_t t = 0; t < len; ++t) {
+      L xt = L::load(xs + t * W);
+      xt.sub_mul(ri[t], xi);
+      xt.store(xs + t * W);
+    }
   }
 
   // Residual in Gauss-Seidel units (largest Jacobi node update the iterative
   // solver would still make), and the column currents as the sum of cell
   // currents — same well-conditioned readout the iterative path uses.
-  Result res;
-  std::fill(i_col, i_col + cols_, 0.0);
+  for (std::size_t k = 0; k < W; ++k) {
+    res[k] = Result{};
+    std::fill(i_col + k * i_stride, i_col + k * i_stride + cols_, 0.0);
+  }
   for (std::size_t r = 0; r < rows_; ++r) {
     for (std::size_t c = 0; c < cols_; ++c) {
       const std::size_t iv = node_v(r, c), iu = node_u(r, c);
       const double gc = g_(r, c);
-      const double xv = x[iv], xu = x[iu];
-      double ax_v = adiag_[iv] * xv - gc * xu;
-      if (c > 0) ax_v -= gw * x[node_v(r, c - 1)];
-      if (c + 1 < cols_) ax_v -= gw * x[node_v(r, c + 1)];
-      const double b_v = c == 0 ? gw * v_in[r] : 0.0;
-      double ax_u = adiag_[iu] * xu - gc * xv;
-      if (r > 0) ax_u -= gw * x[node_u(r - 1, c)];
-      if (r + 1 < rows_) ax_u -= gw * x[node_u(r + 1, c)];
-      res.residual = std::max(res.residual, std::abs(b_v - ax_v) / adiag_[iv]);
-      res.residual = std::max(res.residual, std::abs(0.0 - ax_u) / adiag_[iu]);
-      i_col[c] += gc * (xv - xu);
+      for (std::size_t k = 0; k < W; ++k) {
+        const double xv = x[iv * W + k], xu = x[iu * W + k];
+        double ax_v = adiag_[iv] * xv - gc * xu;
+        if (c > 0) ax_v -= gw * x[node_v(r, c - 1) * W + k];
+        if (c + 1 < cols_) ax_v -= gw * x[node_v(r, c + 1) * W + k];
+        const double b_v = c == 0 ? gw * v_in[k * v_stride + r] : 0.0;
+        double ax_u = adiag_[iu] * xu - gc * xv;
+        if (r > 0) ax_u -= gw * x[node_u(r - 1, c) * W + k];
+        if (r + 1 < rows_) ax_u -= gw * x[node_u(r + 1, c) * W + k];
+        double& rk = res[k].residual;
+        rk = std::max(rk, std::abs(b_v - ax_v) / adiag_[iv]);
+        rk = std::max(rk, std::abs(0.0 - ax_u) / adiag_[iu]);
+        i_col[k * i_stride + c] += gc * (xv - xu);
+      }
     }
   }
+}
+
+NodalSolver::Result NodalSolver::solve(const double* v_in, double* i_col,
+                                       Workspace& ws) const {
+  Result res;
+  substitute<1>(v_in, 0, i_col, 0, &res, ws);
   return res;
+}
+
+void NodalSolver::solve_block(const double* v_in, std::size_t v_stride, double* i_col,
+                              std::size_t i_stride, Result* res, Workspace& ws) const {
+  substitute<kBlock>(v_in, v_stride, i_col, i_stride, res, ws);
 }
 
 }  // namespace xlds::xbar

@@ -28,6 +28,13 @@
 // factorization are read-only and race-free (each solve uses
 // caller-provided scratch).
 //
+// Blocked substitutions.  At 64x64 the packed factor (~4 MB) outgrows L2, so
+// one query's substitution streams it from memory.  solve_block() carries
+// kBlock queries through each pass side by side — node-major scratch, the
+// queries' values in SIMD registers — and reads the factor once per block.
+// Queries never mix: each sees the multiply, subtract and divide sequence of
+// solve(), in the same order, so results stay bit-identical.
+//
 // Incremental up/down-dates.  Changing one cell conductance by delta
 // perturbs A by exactly the rank-1 matrix delta * w w^T with
 // w = e_v - e_u (the two adjacent node indices of that cell), which lies
@@ -96,11 +103,18 @@ class NodalSolver {
   /// Bytes held by the packed factor.
   std::size_t factor_bytes() const noexcept { return vals_.size() * sizeof(double); }
 
-  /// Per-solve scratch.  Reused across solves to amortise allocation; each
-  /// concurrently-solving thread must use its own instance.
+  /// Queries solve_block() substitutes together.  Each block costs one
+  /// forward and one back pass over the factor instead of one per query, and
+  /// its kBlock independent multiply-subtract chains hide the add latency.
+  /// Chosen by measurement (DESIGN.md §12); deliberately not configurable.
+  static constexpr std::size_t kBlock = 8;
+
+  /// Per-solve scratch: the node voltages of every query in flight, stored
+  /// RHS-minor (node-major, one slot per query).  Reused across solves to
+  /// amortise allocation; each concurrently-solving thread must use its own
+  /// instance.
   struct Workspace {
-    std::vector<double> x;  ///< node voltages (back-substitution result)
-    std::vector<double> y;  ///< rhs, consumed in place by the forward solve
+    std::vector<double> y;  ///< rhs, then y, then node voltages x, in place
   };
 
   struct Result {
@@ -115,6 +129,14 @@ class NodalSolver {
   /// concurrent calls with distinct workspaces are safe and bit-identical.
   Result solve(const double* v_in, double* i_col, Workspace& ws) const;
 
+  /// Solve kBlock inputs with one pass over the factor: query k reads its
+  /// row voltages at `v_in + k * v_stride`, writes its column currents to
+  /// `i_col + k * i_stride` and its residual to `res[k]`.  Each query gets
+  /// exactly the arithmetic solve() gives it, so the results are
+  /// bit-identical to kBlock solve() calls.
+  void solve_block(const double* v_in, std::size_t v_stride, double* i_col,
+                   std::size_t i_stride, Result* res, Workspace& ws) const;
+
  private:
   std::size_t node_v(std::size_t r, std::size_t c) const noexcept {
     return 2 * (row_major_ ? r * cols_ + c : c * rows_ + r);
@@ -122,6 +144,12 @@ class NodalSolver {
   std::size_t node_u(std::size_t r, std::size_t c) const noexcept {
     return node_v(r, c) + 1;
   }
+
+  /// The one substitution routine: W queries side by side (W == 1 is
+  /// solve(), W == kBlock is solve_block()).
+  template <std::size_t W>
+  void substitute(const double* v_in, std::size_t v_stride, double* i_col,
+                  std::size_t i_stride, Result* res, Workspace& ws) const;
 
   std::size_t rows_ = 0, cols_ = 0;
   std::size_t n_ = 0;        ///< 2 * rows * cols unknowns

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "core/counters.hpp"
 #include "core/pareto.hpp"
 #include "dse/engine.hpp"
 #include "dse/jobspec.hpp"
@@ -225,6 +226,36 @@ TEST(FidelityLadder, DeterministicAcrossInstances) {
   EXPECT_EQ(fa.accuracy, fb.accuracy);
   EXPECT_EQ(fa.latency, fb.latency);
   EXPECT_EQ(fa.note, fb.note);
+}
+
+TEST(FidelityLadder, ConcurrentNodalEvaluationsFactorTheTileOnce) {
+  // The nodal rung's per-device memo publishes its entry before solving, so
+  // lanes that ask for the same device at once wait for one factorization
+  // instead of each factoring the same tile.
+  FidelityConfig config;
+  config.max_fidelity = Fidelity::kNodal;
+  const FidelityLadder ladder(config, core::profile_for("isolet-like"));
+  core::DesignPoint p;
+  p.device = device::DeviceKind::kRram;
+  p.arch = core::ArchKind::kCrossbarAccelerator;
+  p.algo = core::AlgoKind::kCnn;
+
+  clear_fidelity_caches();
+  set_parallel_threads(8);
+  const core::Profiler::NodalCounts before = core::Profiler::nodal();
+  std::vector<core::Fom> foms(8);
+  parallel_for(8, 1, [&](std::size_t begin, std::size_t end, std::size_t) {
+    for (std::size_t i = begin; i < end; ++i) foms[i] = ladder.evaluate(p, Fidelity::kNodal);
+  });
+  const core::Profiler::NodalCounts after = core::Profiler::nodal();
+  set_parallel_threads(0);
+
+  EXPECT_EQ(after.factorizations - before.factorizations, 1u);
+  EXPECT_EQ(after.direct_solves - before.direct_solves, 1u);
+  for (const core::Fom& f : foms) {
+    EXPECT_EQ(f.accuracy, foms[0].accuracy);
+    EXPECT_EQ(f.note, foms[0].note);
+  }
 }
 
 TEST(FidelityLadder, RejectsTiersAboveMax) {

@@ -1,11 +1,16 @@
 // Tests for the factorization-cached nodal IR-drop solver: agreement with
 // the Gauss-Seidel reference across shapes (including degenerate and
 // non-square arrays, faults and aged cells), the invalidation contract on
-// program/fault/age, batched-vs-single bit-equality, thread-count invariance
-// of readout_batch, and the per-call SolveStatus reporting.
+// program/fault/age, batched-vs-single bit-equality across the blocked
+// substitution's block edges and thread counts, and the per-call
+// SolveStatus reporting.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "fault/fault_map.hpp"
@@ -291,49 +296,98 @@ MatrixD batch_inputs(std::size_t batch, std::size_t rows, std::uint64_t seed) {
   return xs;
 }
 
-TEST_F(NodalTest, BatchedReadoutBitIdenticalToSequentialSingles) {
-  auto cfg = quiet_config(16, 16);
+// readout_batch solves its queries NodalSolver::kBlock at a time and sends a
+// ragged remainder through the one-query solve, so the batch sizes straddle
+// the block edges: one query, one short of a block, exactly one, one over,
+// two plus a remainder, and the 64 a served tile sees per tick.
+constexpr std::size_t kBlock = xbar::NodalSolver::kBlock;
+
+struct BatchCase {
+  std::size_t batch = 0;
+  std::size_t n = 16;    ///< square tile edge
+  bool patched = false;  ///< program_cells() patch applied to a live factor first
+};
+
+std::string batch_case_name(const BatchCase& c) {
+  return "b" + std::to_string(c.batch) + "_" + std::to_string(c.n) + "x" + std::to_string(c.n) +
+         (c.patched ? "_patched" : "");
+}
+
+void PrintTo(const BatchCase& c, std::ostream* os) { *os << batch_case_name(c); }
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+class NodalBatchTest : public NodalTest, public ::testing::WithParamInterface<BatchCase> {};
+
+TEST_P(NodalBatchTest, ReadoutBatchBitIdenticalToSequentialSingles) {
+  const BatchCase bc = GetParam();
+  const std::size_t n = bc.n;
+  auto cfg = quiet_config(n, n);
   cfg.read_noise_rel = 0.005;  // noise on: the RNG draw order is part of the contract
-  const MatrixD g = mixed_conductances(16, 16, cfg.rram, 41);
-  const MatrixD xs = batch_inputs(5, 16, 42);
-
-  Rng r1(13);
-  xbar::Crossbar batched(cfg, r1);
-  batched.program_conductances(g);
-  std::vector<xbar::SolveStatus> statuses;
-  const MatrixD out = batched.readout_batch(xs, &statuses);
-  ASSERT_EQ(statuses.size(), 5u);
-  for (const auto& s : statuses) {
-    EXPECT_TRUE(s.direct);
-    EXPECT_TRUE(s.converged);
+  const MatrixD g = mixed_conductances(n, n, cfg.rram, 41);
+  const MatrixD xs = batch_inputs(bc.batch, n, 42);
+  std::vector<xbar::CellDelta> patch;
+  if (bc.patched) {
+    Rng pick(43);
+    for (std::size_t k = 0; k < 3; ++k)
+      patch.push_back({static_cast<std::size_t>(pick.uniform() * n) % n,
+                       static_cast<std::size_t>(pick.uniform() * n) % n,
+                       pick.uniform(cfg.rram.g_min, cfg.rram.g_max)});
   }
-
-  Rng r2(13);
-  xbar::Crossbar single(cfg, r2);
-  single.program_conductances(g);
-  for (std::size_t b = 0; b < xs.rows(); ++b) {
-    const std::vector<double> x(xs.row_data(b), xs.row_data(b) + 16);
-    const auto i = single.column_currents(x);
-    for (std::size_t c = 0; c < 16; ++c)
-      EXPECT_EQ(out(b, c), i[c]) << "batch row " << b << " column " << c;
-  }
-}
-
-TEST_F(NodalTest, BatchedReadoutBitIdenticalAcrossThreadCounts) {
-  const auto run = [](std::size_t threads) {
-    set_parallel_threads(threads);
-    auto cfg = quiet_config(32, 32);
-    Rng rng(17);
-    xbar::Crossbar xb(cfg, rng);
-    xb.program_conductances(mixed_conductances(32, 32, cfg.rram, 51));
-    return xb.readout_batch(batch_inputs(9, 32, 52));
+  // Program, and for the patched case factorize with one readout and then
+  // patch, so the batch solves against an incrementally updated factor.
+  const auto prepare = [&](xbar::Crossbar& xb) {
+    xb.program_conductances(g);
+    if (!bc.patched) return;
+    (void)xb.column_currents(ramp_input(n));
+    xb.program_cells(patch);
+    ASSERT_GT(xb.nodal_updates_applied(), 0u);
   };
-  const MatrixD out_1t = run(1);
-  const MatrixD out_8t = run(8);
-  ASSERT_EQ(out_1t.size(), out_8t.size());
-  for (std::size_t i = 0; i < out_1t.size(); ++i)
-    EXPECT_EQ(out_1t.data()[i], out_8t.data()[i]) << "flat index " << i;
+
+  Rng r_single(13);
+  xbar::Crossbar single(cfg, r_single);
+  prepare(single);
+  std::vector<std::vector<double>> want(bc.batch);
+  std::vector<xbar::SolveStatus> want_status(bc.batch);
+  for (std::size_t b = 0; b < bc.batch; ++b) {
+    const std::vector<double> x(xs.row_data(b), xs.row_data(b) + n);
+    want[b] = single.column_currents(x, want_status[b]);
+  }
+
+  for (const std::size_t threads : {1u, 8u}) {
+    set_parallel_threads(threads);
+    Rng r_batch(13);
+    xbar::Crossbar batched(cfg, r_batch);
+    prepare(batched);
+    std::vector<xbar::SolveStatus> statuses;
+    const MatrixD out = batched.readout_batch(xs, &statuses);
+    ASSERT_EQ(statuses.size(), bc.batch);
+    for (std::size_t b = 0; b < bc.batch; ++b) {
+      const xbar::SolveStatus& got = statuses[b];
+      const xbar::SolveStatus& exp = want_status[b];
+      EXPECT_TRUE(got.direct) << threads << " lanes, query " << b;
+      EXPECT_TRUE(got.converged) << threads << " lanes, query " << b;
+      EXPECT_EQ(got.direct, exp.direct) << threads << " lanes, query " << b;
+      EXPECT_EQ(got.converged, exp.converged) << threads << " lanes, query " << b;
+      EXPECT_EQ(got.iterations, exp.iterations) << threads << " lanes, query " << b;
+      EXPECT_EQ(got.used_fallback, exp.used_fallback) << threads << " lanes, query " << b;
+      EXPECT_EQ(bits(got.residual), bits(exp.residual)) << threads << " lanes, query " << b;
+      for (std::size_t c = 0; c < n; ++c)
+        EXPECT_EQ(bits(out(b, c)), bits(want[b][c]))
+            << threads << " lanes, query " << b << " column " << c;
+    }
+  }
 }
+
+INSTANTIATE_TEST_SUITE_P(BatchSizes, NodalBatchTest,
+                         ::testing::Values(BatchCase{1}, BatchCase{kBlock - 1},
+                                           BatchCase{kBlock}, BatchCase{kBlock + 1},
+                                           BatchCase{2 * kBlock + 3}, BatchCase{64},
+                                           BatchCase{2 * kBlock + 3, 16, true},
+                                           BatchCase{2 * kBlock + 3, 64}),
+                         [](const ::testing::TestParamInfo<BatchCase>& info) {
+                           return batch_case_name(info.param);
+                         });
 
 TEST_F(NodalTest, BatchedReadoutCoversAllIrDropModes) {
   for (const auto mode :
