@@ -31,9 +31,12 @@ class Layer {
   /// Forward pass; implementations cache what backward() needs.
   virtual std::vector<double> forward(const std::vector<double>& input) = 0;
 
-  /// Backward pass: gradient wrt input given gradient wrt output; accumulates
-  /// parameter gradients internally.
-  virtual std::vector<double> backward(const std::vector<double>& grad_output) = 0;
+  /// Backward pass: accumulates parameter gradients internally and returns
+  /// the gradient wrt input given the gradient wrt output.  With
+  /// `input_grad` false the input gradient is not computed (a network's first
+  /// layer has nobody to pass it to) and the result is empty.
+  virtual std::vector<double> backward(const std::vector<double>& grad_output,
+                                       bool input_grad) = 0;
 
   /// Apply accumulated gradients (SGD + momentum + L2 weight decay) and
   /// clear them.
@@ -52,13 +55,16 @@ class DenseLayer final : public Layer {
   DenseLayer(std::size_t in, std::size_t out, Rng& rng);
 
   std::vector<double> forward(const std::vector<double>& input) override;
-  std::vector<double> backward(const std::vector<double>& grad_output) override;
+  std::vector<double> backward(const std::vector<double>& grad_output, bool input_grad) override;
   void update(double learning_rate, double momentum, double weight_decay) override;
   LayerCounts counts() const override;
   std::size_t output_size() const override { return out_; }
 
   const MatrixD& weights() const noexcept { return w_; }
   MatrixD& mutable_weights() noexcept { return w_; }
+  /// Parameter gradients accumulated since the last update().
+  const MatrixD& weight_grad() const noexcept { return gw_; }
+  const std::vector<double>& bias_grad() const noexcept { return gb_; }
 
   void visit_weights(const std::function<void(double&)>& fn) override {
     for (double& w : w_.data()) fn(w);
@@ -80,7 +86,7 @@ class ReluLayer final : public Layer {
   explicit ReluLayer(std::size_t size) : size_(size) {}
 
   std::vector<double> forward(const std::vector<double>& input) override;
-  std::vector<double> backward(const std::vector<double>& grad_output) override;
+  std::vector<double> backward(const std::vector<double>& grad_output, bool input_grad) override;
   void update(double, double, double) override {}
   LayerCounts counts() const override { return {}; }
   std::size_t output_size() const override { return size_; }
@@ -98,7 +104,7 @@ class Conv2dLayer final : public Layer {
               std::size_t kernel, Rng& rng);
 
   std::vector<double> forward(const std::vector<double>& input) override;
-  std::vector<double> backward(const std::vector<double>& grad_output) override;
+  std::vector<double> backward(const std::vector<double>& grad_output, bool input_grad) override;
   void update(double learning_rate, double momentum, double weight_decay) override;
   LayerCounts counts() const override;
   std::size_t output_size() const override { return out_c_ * out_h_ * out_w_; }
@@ -106,14 +112,21 @@ class Conv2dLayer final : public Layer {
   std::size_t out_h() const noexcept { return out_h_; }
   std::size_t out_w() const noexcept { return out_w_; }
   std::size_t out_c() const noexcept { return out_c_; }
+  /// Parameter gradients accumulated since the last update().
+  const std::vector<double>& weight_grad() const noexcept { return gw_; }
+  const std::vector<double>& bias_grad() const noexcept { return gb_; }
 
   void visit_weights(const std::function<void(double&)>& fn) override {
     for (double& w : w_) fn(w);
   }
 
  private:
-  double& kernel_at(std::size_t oc, std::size_t ic, std::size_t ky, std::size_t kx);
-  double kernel_at(std::size_t oc, std::size_t ic, std::size_t ky, std::size_t kx) const;
+  /// One nonzero output gradient of a channel: its value and the offset of
+  /// its receptive field's top-left input pixel within an input channel.
+  struct Tap {
+    std::size_t offset;
+    double grad;
+  };
 
   std::size_t in_c_, in_h_, in_w_, out_c_, k_;
   std::size_t out_h_, out_w_;
@@ -121,6 +134,9 @@ class Conv2dLayer final : public Layer {
   std::vector<double> b_;
   std::vector<double> gw_, gb_, vw_, vb_;
   std::vector<double> last_input_;
+  std::vector<Tap> taps_;  ///< backward scratch, one slot per output pixel
+  /// Input offset of kernel row (ic, ky) at tap offset 0, in (ic, ky) order.
+  std::vector<std::size_t> row_offset_;
 };
 
 /// 2x2 max pooling, stride 2, over [channels x height x width].
@@ -129,7 +145,7 @@ class MaxPoolLayer final : public Layer {
   MaxPoolLayer(std::size_t channels, std::size_t in_h, std::size_t in_w);
 
   std::vector<double> forward(const std::vector<double>& input) override;
-  std::vector<double> backward(const std::vector<double>& grad_output) override;
+  std::vector<double> backward(const std::vector<double>& grad_output, bool input_grad) override;
   void update(double, double, double) override {}
   LayerCounts counts() const override { return {}; }
   std::size_t output_size() const override { return c_ * out_h_ * out_w_; }

@@ -54,7 +54,8 @@ double Network::train_step(const std::vector<double>& input, std::size_t label,
   const double loss = -std::log(std::max(p[label], 1e-12));
   std::vector<double> grad = p;
   grad[label] -= 1.0;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) grad = (*it)->backward(grad);
+  // The first layer's input gradient would be thrown away: skip it.
+  for (std::size_t i = layers_.size(); i-- > 0;) grad = layers_[i]->backward(grad, i > 0);
   for (auto& layer : layers_) layer->update(learning_rate, momentum, weight_decay);
   return loss;
 }

@@ -13,6 +13,7 @@ FewShotGenerator::FewShotGenerator(FewShotSpec spec, std::uint64_t seed)
   XLDS_REQUIRE(spec_.image_side >= 8);
   XLDS_REQUIRE(spec_.n_classes >= 2);
   prototypes_.resize(spec_.n_classes);
+  tables_.resize(spec_.n_classes);
   for (auto& waves : prototypes_) {
     waves.resize(spec_.prototype_waves);
     for (Wave& w : waves) {
@@ -35,6 +36,26 @@ double FewShotGenerator::prototype_pixel(std::size_t cls, double x, double y) co
   return 0.5 + 0.5 * v / amp_sum;
 }
 
+const std::vector<double>& FewShotGenerator::prototype_table(std::size_t cls) {
+  std::vector<double>& table = tables_[cls];
+  if (!table.empty()) return table;
+  // A shifted sample reads the prototype at x = (px + dx) / side with
+  // px + dx an integer in [-max_shift, side + max_shift), and
+  // double(px) + dx is exact, so tabulating the integer grid reproduces
+  // every pixel bit for bit.
+  const auto shift = static_cast<int>(spec_.max_shift);
+  const auto end = static_cast<int>(spec_.image_side) + shift;
+  const auto side = static_cast<double>(spec_.image_side);
+  const std::size_t span = spec_.image_side + 2 * spec_.max_shift;
+  table.resize(span * span);
+  std::size_t i = 0;
+  for (int gy = -shift; gy < end; ++gy)
+    for (int gx = -shift; gx < end; ++gx)
+      table[i++] = prototype_pixel(cls, static_cast<double>(gx) / side,
+                                   static_cast<double>(gy) / side);
+  return table;
+}
+
 std::vector<double> FewShotGenerator::sample_image(std::size_t universe_class) {
   XLDS_REQUIRE(universe_class < spec_.n_classes);
   const std::size_t side = spec_.image_side;
@@ -43,13 +64,15 @@ std::vector<double> FewShotGenerator::sample_image(std::size_t universe_class) {
                                             shift_range;
   const int dy = shift_range == 0 ? 0 : static_cast<int>(rng_.uniform_u32(2 * shift_range + 1)) -
                                             shift_range;
+  const std::vector<double>& table = prototype_table(universe_class);
+  const std::size_t span = side + 2 * spec_.max_shift;
+  const std::size_t x0 = static_cast<std::size_t>(shift_range + dx);
+  const std::size_t y0 = static_cast<std::size_t>(shift_range + dy);
   std::vector<double> img(side * side);
   for (std::size_t py = 0; py < side; ++py) {
+    const double* row = table.data() + (y0 + py) * span + x0;
     for (std::size_t px = 0; px < side; ++px) {
-      const double x = (static_cast<double>(px) + dx) / static_cast<double>(side);
-      const double y = (static_cast<double>(py) + dy) / static_cast<double>(side);
-      const double v = prototype_pixel(universe_class, x, y) +
-                       rng_.normal(0.0, spec_.pixel_noise);
+      const double v = row[px] + rng_.normal(0.0, spec_.pixel_noise);
       img[py * side + px] = std::clamp(v, 0.0, 1.0);
     }
   }

@@ -58,10 +58,14 @@ class FewShotGenerator {
   };
 
   double prototype_pixel(std::size_t cls, double x, double y) const;
+  /// Class `cls`'s prototype on every integer pixel a shifted sample can
+  /// touch, (side + 2 max_shift)^2 values, built on the class's first sample.
+  const std::vector<double>& prototype_table(std::size_t cls);
 
   FewShotSpec spec_;
   Rng rng_;
   std::vector<std::vector<Wave>> prototypes_;
+  std::vector<std::vector<double>> tables_;  ///< per class, empty until sampled
 };
 
 }  // namespace xlds::workload

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "core/counters.hpp"
 #include "util/error.hpp"
+#include "util/lanes.hpp"
 
 namespace xlds::xbar {
 
@@ -218,72 +218,13 @@ void NodalSolver::reset() noexcept {
   vals_.shrink_to_fit();
 }
 
-namespace {
-
-// The values one node holds across W queries in flight, kept in registers:
-// W / 2 two-wide vectors (a plain double when W == 1).  GCC keeps plain
-// double[W] accumulators in memory, which gains nothing over one query at a
-// time; explicit vectors stay in registers.  Every operation is lane-wise
-// IEEE arithmetic in the scalar expression's operand order, so lane k
-// computes exactly what a one-query solve computes.  This TU is never built
-// with -march=native: on an FMA target the compiler may contract `s - a * b`
-// into one rounding, which breaks bit-identity with the portable build.
-using V2 = double __attribute__((vector_size(16)));
-
-template <std::size_t W>
-struct Lanes {
-  static_assert(W % 2 == 0, "query blocks are whole vectors");
-  V2 v[W / 2];
-
-  // One 16-byte copy per vector: copying the whole array at once takes its
-  // address, and GCC then spills the accumulators to the stack.
-  static Lanes load(const double* p) {
-    Lanes l;
-#pragma GCC unroll 8
-    for (std::size_t j = 0; j < W / 2; ++j) {
-      V2 t;
-      std::memcpy(&t, p + 2 * j, sizeof t);
-      l.v[j] = t;
-    }
-    return l;
-  }
-  void store(double* p) const {
-#pragma GCC unroll 8
-    for (std::size_t j = 0; j < W / 2; ++j) {
-      const V2 t = v[j];
-      std::memcpy(p + 2 * j, &t, sizeof t);
-    }
-  }
-  /// this -= a * b, lane by lane.
-  void sub_mul(double a, const Lanes& b) {
-    const V2 av = {a, a};
-#pragma GCC unroll 8
-    for (std::size_t j = 0; j < W / 2; ++j) v[j] -= av * b.v[j];
-  }
-  void div(double d) {
-    const V2 dv = {d, d};
-#pragma GCC unroll 8
-    for (std::size_t j = 0; j < W / 2; ++j) v[j] /= dv;
-  }
-};
-
-template <>
-struct Lanes<1> {
-  double v;
-
-  static Lanes load(const double* p) { return Lanes{*p}; }
-  void store(double* p) const { *p = v; }
-  void sub_mul(double a, const Lanes& b) { v -= a * b.v; }
-  void div(double d) { v /= d; }
-};
-
-}  // namespace
-
 template <std::size_t W>
 void NodalSolver::substitute(const double* v_in, std::size_t v_stride, double* i_col,
                              std::size_t i_stride, Result* res, Workspace& ws) const {
   XLDS_REQUIRE_MSG(ready_, "NodalSolver::solve before a successful factorize");
-  using L = Lanes<W>;
+  // The W queries in flight sit side by side in registers; lane k computes
+  // exactly what a one-query solve computes (util/lanes.hpp).
+  using L = util::Lanes<W>;
   const double gw = g_wire_;
   for (std::size_t k = 0; k < W; ++k) core::Profiler::count_direct_solve();
 

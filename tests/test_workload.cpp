@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <numbers>
 
 #include "util/error.hpp"
 #include "workload/dataset.hpp"
@@ -189,6 +191,77 @@ TEST(FewShot, FlatSamplingLabels) {
   EXPECT_EQ(xs.size(), 24u);
   for (std::size_t y : ys) EXPECT_LT(y, 4u);
 }
+
+// FewShotGenerator without its prototype tables: the same stream, draws in
+// the same order, and every pixel summing the prototype's sinusoids.
+class UncachedFewShot {
+ public:
+  UncachedFewShot(FewShotSpec spec, std::uint64_t seed) : spec_(spec), rng_(seed, 0xF357) {
+    waves_.resize(spec_.n_classes);
+    for (auto& waves : waves_) {
+      waves.resize(spec_.prototype_waves);
+      for (Wave& w : waves) {
+        w.fx = rng_.uniform(0.5, 3.0);
+        w.fy = rng_.uniform(0.5, 3.0);
+        w.phase = rng_.uniform(0.0, 2.0 * std::numbers::pi);
+        w.amp = rng_.uniform(0.3, 1.0);
+      }
+    }
+  }
+
+  std::vector<double> sample_image(std::size_t cls) {
+    const std::size_t side = spec_.image_side;
+    const auto shift_range = static_cast<int>(spec_.max_shift);
+    const int dx = shift_range == 0
+                       ? 0
+                       : static_cast<int>(rng_.uniform_u32(2 * shift_range + 1)) - shift_range;
+    const int dy = shift_range == 0
+                       ? 0
+                       : static_cast<int>(rng_.uniform_u32(2 * shift_range + 1)) - shift_range;
+    std::vector<double> img(side * side);
+    for (std::size_t py = 0; py < side; ++py) {
+      for (std::size_t px = 0; px < side; ++px) {
+        const double x = (static_cast<double>(px) + dx) / static_cast<double>(side);
+        const double y = (static_cast<double>(py) + dy) / static_cast<double>(side);
+        double v = 0.0, amp_sum = 0.0;
+        for (const Wave& w : waves_[cls]) {
+          v += w.amp * std::sin(2.0 * std::numbers::pi * (w.fx * x + w.fy * y) + w.phase);
+          amp_sum += w.amp;
+        }
+        const double pixel = 0.5 + 0.5 * v / amp_sum + rng_.normal(0.0, spec_.pixel_noise);
+        img[py * side + px] = std::clamp(pixel, 0.0, 1.0);
+      }
+    }
+    return img;
+  }
+
+ private:
+  struct Wave {
+    double fx, fy, phase, amp;
+  };
+  FewShotSpec spec_;
+  Rng rng_;
+  std::vector<std::vector<Wave>> waves_;
+};
+
+class FewShotTables : public ::testing::TestWithParam<std::size_t> {};
+
+// Images come out byte-identical to the per-pixel formula, classes repeat
+// (table hits) and every later image still matches, so the stream of draws
+// is the uncached one.
+TEST_P(FewShotTables, ImagesMatchTheUncachedFormulaByteForByte) {
+  const FewShotSpec spec{.image_side = 16, .n_classes = 5, .max_shift = GetParam()};
+  FewShotGenerator gen(spec, 31);
+  UncachedFewShot ref(spec, 31);
+  for (std::size_t cls : {3u, 0u, 3u, 4u, 0u, 3u, 1u, 1u}) {
+    const std::vector<double> a = gen.sample_image(cls);
+    const std::vector<double> b = ref.sample_image(cls);
+    ASSERT_EQ(a.size(), b.size());
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0) << "class " << cls;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(MaxShift, FewShotTables, ::testing::Values(0u, 1u, 2u));
 
 TEST(FewShot, InvalidEpisodeThrows) {
   FewShotGenerator gen(FewShotSpec{}, 15);
