@@ -1,12 +1,13 @@
 // Register-resident lanes of doubles for bit-identical blocked kernels.
 //
 // A kernel that runs W independent accumulators side by side (W queries of
-// the nodal solver, W output pixels of a convolution row) keeps them in
-// Lanes<W>: W / 2 two-wide vectors, or a plain double when W == 1.  GCC
-// keeps plain double[W] accumulators in memory, which gains nothing over one
-// accumulator at a time; explicit vectors stay in registers.  Every operation
-// is lane-wise IEEE arithmetic with the scalar expression's operand order, so
-// lane k computes exactly what the one-accumulator loop computes.
+// the nodal solver, W rows of a factorization panel, W output pixels of a
+// convolution row) keeps them in Lanes<W>: W / 2 two-wide vectors, or a
+// plain double when W == 1.  GCC keeps plain double[W] accumulators in
+// memory, which gains nothing over one accumulator at a time; explicit
+// vectors stay in registers.  Every operation is lane-wise IEEE arithmetic
+// with the scalar expression's operand order, so lane k computes exactly
+// what the one-accumulator loop computes.
 //
 // Never include this from a TU built with -march=native (src/kernels/ under
 // XLDS_NATIVE): on an FMA target the compiler may contract `s + a * b` into
@@ -80,6 +81,11 @@ struct Lanes {
 #pragma GCC unroll 8
     for (std::size_t j = 0; j < W / 2; ++j) v[j] -= av * b.v[j];
   }
+  /// this -= a * b, lane by lane (both operands per lane).
+  void sub_mul(const Lanes& a, const Lanes& b) {
+#pragma GCC unroll 8
+    for (std::size_t j = 0; j < W / 2; ++j) v[j] -= a.v[j] * b.v[j];
+  }
   void div(double d) {
     const V2 dv = {d, d};
 #pragma GCC unroll 8
@@ -99,6 +105,7 @@ struct Lanes<1> {
   void add_mul(double a, const Lanes& b) { v += a * b.v; }
   void add_mul(const Lanes& a, double b) { v += a.v * b; }
   void sub_mul(double a, const Lanes& b) { v -= a * b.v; }
+  void sub_mul(const Lanes& a, const Lanes& b) { v -= a.v * b.v; }
   void div(double d) { v /= d; }
 };
 

@@ -7,7 +7,7 @@
 //   * DAC-quantised inputs and ADC-quantised outputs,
 //   * IR drop along row/column wires — either a fast two-pass analytic
 //     estimate or an exact nodal solve for validation.  The nodal solve is
-//     served by a cached sparse Cholesky factorization of the two-layer
+//     served by a cached sparse LDL^T factorization of the two-layer
 //     conductance matrix (see nodal_solver.hpp): the matrix depends only on
 //     the programmed state, so repeated readouts amortise one factorization
 //     across every query, with red-black Gauss-Seidel kept as the fallback
@@ -69,7 +69,7 @@ struct CrossbarConfig {
   /// remains the fallback when disabled, declined (memory cap) or on numeric
   /// breakdown.
   bool nodal_direct = true;
-  /// Memory cap for the cached Cholesky factor; larger systems fall back to
+  /// Memory cap for the cached LDL^T factor; larger systems fall back to
   /// Gauss-Seidel instead of allocating an oversized profile.
   std::size_t nodal_direct_max_bytes = 256u << 20;
   /// Warm-start Gauss-Seidel from the previous converged iterate, shifted by

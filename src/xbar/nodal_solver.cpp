@@ -9,6 +9,104 @@
 
 namespace xlds::xbar {
 
+// One panel of the left-looking profile LDL^T: the rows of cells
+// [cell0, cell0 + W).  Lane q carries the row i0 + 2q of cell cell0 + q that
+// has the wire-neighbour coupling to the previous grid line — the wide rows
+// (column-wire rows in row-major order, row-wire rows otherwise), each
+// spanning the full band from start_[i] = i - bw.  The sweep walks the
+// columns j of the panel's union profile once, left to right.  At column j
+// every lane's entry L(i_q, j) runs its own subtract chain side by side in
+// Lanes<W> over the node-major scratch t (t holds D(k) * L(i_q, k), the value
+// of the numerator at column k), so each factor entry L(j, k) is loaded once
+// per panel, not once per row; the lanes' diagonals fold in the same column
+// step from t and the L values in l.  Inside the panel a column's row must be
+// final before its column runs: a lane row takes its diagonal from d and
+// copies its L values back into vals_, a narrow row (at most two entries)
+// runs one row at a time in factor_narrow_row.
+//
+// Byte-identity with the one-row-at-a-time sweep.  Each entry keeps that
+// sweep's exact sequence: start at A(i, j), subtract t_k * L(j, k) for
+// ascending k from max(start_[i], start_[j]), divide by D(j); the diagonal
+// subtracts t_k * L(i, k) for ascending k from A(i, i).  Lanes never mix.
+// The one difference is padding: the wide rows start two columns apart, so
+// the column loop runs from the panel's first start s0 and lane q meets
+// terms k < start_[i_q] that its own row does not have.  There t_k = +0
+// (zero-filled, and a column left of a lane's profile stays +0: +0 minus
+// +-0 is +0), so a padded term subtracts +-0.  That is exact, because every
+// padded term comes before the lane's first real term, while the running sum
+// still equals A(i_q, j): -g_wire at the lane's first column, else +0.0 — a
+// wide row's only other entry is an open cell's -g_c = -0.0 between v and u
+// of one cell, which lies inside the panel and has no padded terms (its
+// column's own profile starts at or right of start_[i_q]).  The product
+// +0 * L(j, k) is +-0 only for finite L(j, k): row j is final before its
+// column runs, and a non-finite entry of row j fails row j's own pivot
+// (its terms t_k * L(j, k) = D(k) * L(j, k)^2 are non-negative), so the
+// factorization declines before the padding could see it.  Lanes whose row
+// already ended (i_q <= j) compute values nobody reads.  The first grid line
+// runs at W == 1, where there is no padding at all: its wide-parity rows are
+// narrow, and an open cell's -0.0 there would meet padded terms.
+template <std::size_t W>
+bool NodalSolver::factor_panel(std::size_t cell0, double* t, double* l) {
+  using L = util::Lanes<W>;
+  const std::size_t p0 = 2 * cell0, p1 = p0 + 2 * W;
+  const std::size_t i0 = p0 + (row_major_ ? 1 : 0);  // lane q factorizes row i0 + 2q
+  const std::size_t ilast = i0 + 2 * (W - 1);
+  const std::size_t s0 = start_[i0];
+  XLDS_ASSERT(start_[ilast] - s0 == ilast - i0);  // lane starts 2 columns apart
+  // Scratch column j of lane q lives at (j - s0) * W + q; it starts as A.
+  std::fill(t, t + (ilast - s0) * W, 0.0);
+  for (std::size_t q = 0; q < W; ++q) {
+    const std::size_t i = i0 + 2 * q;
+    for (std::size_t j = start_[i]; j < i; ++j)
+      t[(j - s0) * W + q] = vals_[off_[i] + (j - start_[i])];
+  }
+  L d = L::load(adiag_.data() + i0, 2);
+  for (std::size_t j = s0; j < p1; ++j) {
+    if (j >= p0 && (j & 1) == (i0 & 1)) {
+      const std::size_t q = (j - i0) / 2;
+      double dq[W];
+      d.store(dq);
+      if (!(dq[q] > 0.0) || !std::isfinite(dq[q])) return false;
+      double* rj = vals_.data() + off_[j];
+      for (std::size_t k = start_[j]; k < j; ++k) rj[k - start_[j]] = l[(k - s0) * W + q];
+      rj[j - start_[j]] = dq[q];
+    } else if (j >= p0 && !factor_narrow_row(j)) {
+      return false;
+    }
+    if (j >= ilast) continue;
+    const std::size_t sj = start_[j], k0 = std::max(s0, sj);
+    const double* lj = vals_.data() + off_[j] + (k0 - sj);
+    const double* tk = t + (k0 - s0) * W;
+    L s = L::load(t + (j - s0) * W);
+    for (std::size_t k = 0; k < j - k0; ++k) s.sub_mul(lj[k], L::load(tk + k * W));
+    s.store(t + (j - s0) * W);
+    L lv = s;
+    lv.div(vals_[off_[j + 1] - 1]);
+    lv.store(l + (j - s0) * W);
+    d.sub_mul(s, lv);
+  }
+  return true;
+}
+
+bool NodalSolver::factor_narrow_row(std::size_t i) {
+  const std::size_t si = start_[i];
+  XLDS_ASSERT(i - si <= 2);
+  double* ri = vals_.data() + off_[i];
+  double t[2];
+  for (std::size_t j = si; j < i; ++j) {
+    const std::size_t sj = start_[j], k0 = std::max(si, sj);
+    double s = ri[j - si];
+    for (std::size_t k = k0; k < j; ++k) s -= t[k - si] * vals_[off_[j] + (k - sj)];
+    t[j - si] = s;
+    ri[j - si] = s / vals_[off_[j + 1] - 1];
+  }
+  double d = ri[i - si];
+  for (std::size_t k = 0; k < i - si; ++k) d -= t[k] * ri[k];
+  if (!(d > 0.0) || !std::isfinite(d)) return false;
+  ri[i - si] = d;
+  return true;
+}
+
 bool NodalSolver::factorize(const MatrixD& g, double g_wire, std::size_t max_bytes) {
   reset();
   if (!(g_wire > 0.0) || !std::isfinite(g_wire) || g.empty()) return false;
@@ -74,35 +172,22 @@ bool NodalSolver::factorize(const MatrixD& g, double g_wire, std::size_t max_byt
     }
   }
 
-  // --- profile LDL^T, in place ----------------------------------------------
-  // Row-by-row left-looking sweep.  `t` carries D(k) * L(i,k) for the row in
-  // flight (the value of the numerator `s` at column k — no extra multiply),
-  // so every inner dot stays a contiguous two-array product.
-  std::vector<double> t(bw_ + 1, 0.0);
-  for (std::size_t i = 0; i < n_; ++i) {
-    const std::size_t si = start_[i];
-    double* ri = vals_.data() + off_[i];
-    for (std::size_t j = si; j < i; ++j) {
-      const std::size_t sj = start_[j];
-      const std::size_t k0 = std::max(si, sj);
-      const double* a = t.data() + (k0 - si);
-      const double* b = vals_.data() + off_[j] + (k0 - sj);
-      const std::size_t len = j - k0;
-      double s = ri[j - si];
-      for (std::size_t k = 0; k < len; ++k) s -= a[k] * b[k];
-      t[j - si] = s;
-      ri[j - si] = s / vals_[off_[j + 1] - 1];
-    }
-    double d = ri[i - si];
-    for (std::size_t k = 0; k < i - si; ++k) d -= t[k] * ri[k];
-    // SPD by construction (a connected resistor network with every node tied
-    // to the driver or ground); a non-positive pivot means numeric breakdown
-    // — decline and let the caller use Gauss-Seidel.
-    if (!(d > 0.0) || !std::isfinite(d)) {
-      reset();
-      return false;
-    }
-    ri[i - si] = d;
+  // --- profile LDL^T, in place, in panels of wide rows ----------------------
+  // The first grid line's rows are all narrow, so its cells go one at a time;
+  // every later cell's wide row spans the full band (see factor_panel).
+  const std::size_t line = row_major_ ? cols_ : rows_;  // cells per grid line
+  std::vector<double> t((bw_ + 2 * kPanel) * kPanel), l(t.size());
+  bool ok = true;
+  for (std::size_t c = 0; c < line && ok; ++c) ok = factor_panel<1>(c, t.data(), l.data());
+  util::for_each_block<kPanel>(line, rows_ * cols_, [&]<std::size_t W>(std::size_t c) {
+    if (ok) ok = factor_panel<W>(c, t.data(), l.data());
+  });
+  // SPD by construction (a connected resistor network with every node tied
+  // to the driver or ground); a non-positive pivot means numeric breakdown
+  // — decline and let the caller use Gauss-Seidel.
+  if (!ok) {
+    reset();
+    return false;
   }
   ready_ = true;
   core::Profiler::count_factorization();

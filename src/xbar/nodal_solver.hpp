@@ -23,10 +23,19 @@
 // profile is only two entries wide — stay two entries wide, halving both
 // memory and flops against a plain banded factorization.  The diagonal slot
 // of each packed row stores D(i).  Assembly, factorization and each
-// triangular solve are fixed-order serial loops: results are bit-identical
-// regardless of thread count, and concurrent solves against one
-// factorization are read-only and race-free (each solve uses
+// triangular solve run in a fixed order on one thread: results are
+// bit-identical regardless of thread count, and concurrent solves against
+// one factorization are read-only and race-free (each solve uses
 // caller-provided scratch).
+//
+// Panel factorization.  Every cell past the first grid line has one wide row
+// whose profile spans the full band, and each entry of the left-looking
+// sweep is one serial dot product over it.  factorize() takes the wide rows
+// of kPanel consecutive cells as one panel: their subtract chains run side
+// by side in SIMD registers over node-major scratch, so each factor entry is
+// read once per panel instead of once per row.  Every entry keeps the
+// one-row sweep's exact operation sequence, so the factor is byte-identical
+// to it (the argument is at factor_panel()).
 //
 // Blocked substitutions.  At 64x64 the packed factor (~4 MB) outgrows L2, so
 // one query's substitution streams it from memory.  solve_block() carries
@@ -109,6 +118,16 @@ class NodalSolver {
   /// Chosen by measurement (DESIGN.md §12); deliberately not configurable.
   static constexpr std::size_t kBlock = 8;
 
+  /// Wide rows factorize() carries through one panel of its sweep.  Each
+  /// factor entry is then loaded once per panel, and the panel's kPanel
+  /// subtract chains run side by side.  Chosen by measurement (DESIGN.md
+  /// §12); deliberately not configurable.
+  static constexpr std::size_t kPanel = 8;
+
+  /// The packed factor, row by row: the profile of L(i, start) .. L(i, i-1),
+  /// then D(i) in the diagonal slot.  Read-only view for tests.
+  const std::vector<double>& factor() const noexcept { return vals_; }
+
   /// Per-solve scratch: the node voltages of every query in flight, stored
   /// RHS-minor (node-major, one slot per query).  Reused across solves to
   /// amortise allocation; each concurrently-solving thread must use its own
@@ -144,6 +163,15 @@ class NodalSolver {
   std::size_t node_u(std::size_t r, std::size_t c) const noexcept {
     return node_v(r, c) + 1;
   }
+
+  /// The one factorization routine: the rows of W consecutive cells, their
+  /// wide rows side by side (W == kPanel, smaller at the edges).  False on a
+  /// non-positive or non-finite pivot.  `t` and `l` hold
+  /// (bw_ + 2 * kPanel) * kPanel doubles of scratch.
+  template <std::size_t W>
+  bool factor_panel(std::size_t cell0, double* t, double* l);
+  /// One narrow row (at most two entries left of the diagonal) of a panel.
+  bool factor_narrow_row(std::size_t i);
 
   /// The one substitution routine: W queries side by side (W == 1 is
   /// solve(), W == kBlock is solve_block()).

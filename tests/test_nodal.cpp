@@ -1,6 +1,8 @@
 // Tests for the factorization-cached nodal IR-drop solver: agreement with
 // the Gauss-Seidel reference across shapes (including degenerate and
-// non-square arrays, faults and aged cells), the invalidation contract on
+// non-square arrays, faults and aged cells) and with a dense reference solve
+// that shares no code with the solver, the packed factor's bytes against a
+// row-by-row reference factorization, the invalidation contract on
 // program/fault/age, batched-vs-single bit-equality across the blocked
 // substitution's block edges and thread counts, and the per-call
 // SolveStatus reporting.
@@ -9,10 +11,12 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <ostream>
 #include <string>
 #include <vector>
 
+#include "device/technology.hpp"
 #include "fault/fault_map.hpp"
 #include "mann/lsh.hpp"
 #include "util/matrix.hpp"
@@ -616,6 +620,246 @@ TEST_F(NodalTest, SolverIsBitwiseDeterministicAcrossInstances) {
   EXPECT_EQ(r1.residual, r2.residual);
   for (std::size_t c = 0; c < 12; ++c) EXPECT_EQ(i1[c], i2[c]);
 }
+
+// ---- packed factor bytes against the row-by-row reference ------------------
+
+// The profile LDL^T one row at a time, as the solver computed it before the
+// panel sweep: the same node order, profile, assembly and left-looking loop.
+// Returns the packed factor, or an empty vector when a pivot breaks down.
+std::vector<double> reference_factor(const MatrixD& g, double gw) {
+  const std::size_t rows = g.rows(), cols = g.cols(), n = 2 * rows * cols;
+  const bool row_major = cols <= rows;
+  const auto node_v = [&](std::size_t r, std::size_t c) {
+    return 2 * (row_major ? r * cols + c : c * rows + r);
+  };
+  std::vector<std::size_t> start(n, 0), off(n + 1, 0);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      const std::size_t iv = node_v(r, c), iu = iv + 1;
+      start[iv] = c > 0 ? node_v(r, c - 1) : iv;
+      start[iu] = r > 0 ? std::min(iu - 1, node_v(r - 1, c) + 1) : iu - 1;
+    }
+  }
+  std::size_t bw = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    off[i + 1] = off[i] + (i - start[i] + 1);
+    bw = std::max(bw, i - start[i]);
+  }
+  std::vector<double> vals(off[n], 0.0);
+  const auto entry = [&](std::size_t i, std::size_t j) -> double& {
+    return vals[off[i] + (j - start[i])];
+  };
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      const std::size_t iv = node_v(r, c), iu = iv + 1;
+      const double gc = g(r, c);
+      entry(iv, iv) = gc + gw + (c + 1 < cols ? gw : 0.0);
+      entry(iu, iu) = gc + gw + (r > 0 ? gw : 0.0);
+      entry(iu, iv) = -gc;
+      if (c > 0) entry(iv, node_v(r, c - 1)) = -gw;
+      if (r > 0) entry(iu, node_v(r - 1, c) + 1) = -gw;
+    }
+  }
+  std::vector<double> t(bw + 1, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t si = start[i];
+    double* ri = vals.data() + off[i];
+    for (std::size_t j = si; j < i; ++j) {
+      const std::size_t sj = start[j];
+      const std::size_t k0 = std::max(si, sj);
+      const double* a = t.data() + (k0 - si);
+      const double* b = vals.data() + off[j] + (k0 - sj);
+      double s = ri[j - si];
+      for (std::size_t k = 0; k < j - k0; ++k) s -= a[k] * b[k];
+      t[j - si] = s;
+      ri[j - si] = s / vals[off[j + 1] - 1];
+    }
+    double d = ri[i - si];
+    for (std::size_t k = 0; k < i - si; ++k) d -= t[k] * ri[k];
+    if (!(d > 0.0) || !std::isfinite(d)) return {};
+    ri[i - si] = d;
+  }
+  return vals;
+}
+
+// Per-segment wire conductance of the configured technology node and pitch.
+double wire_conductance(const xbar::CrossbarConfig& cfg) {
+  const device::TechNode& node = device::tech_node(cfg.tech);
+  return 1.0 / (node.wire_r_per_m * cfg.cell_pitch_f * node.feature_m);
+}
+
+// Random 0.5-50 uS cells with about one in twenty open (g = 0, so A holds
+// -0.0) and one in twenty stuck on.
+MatrixD faulty_conductances(std::size_t rows, std::size_t cols, std::uint64_t seed) {
+  const device::RramParams p;
+  MatrixD g(rows, cols);
+  Rng fill(seed);
+  for (double& v : g.data()) {
+    v = fill.uniform(p.g_min, p.g_max);
+    if (fill.bernoulli(0.05)) v = 0.0;
+    else if (fill.bernoulli(0.05)) v = 2.0 * p.g_max;
+  }
+  return g;
+}
+
+void expect_factor_bytes(const xbar::NodalSolver& solver, const MatrixD& g, double gw) {
+  const std::vector<double> ref = reference_factor(g, gw);
+  ASSERT_FALSE(ref.empty());
+  ASSERT_TRUE(solver.ready());
+  ASSERT_EQ(solver.factor().size(), ref.size());
+  EXPECT_EQ(std::memcmp(solver.factor().data(), ref.data(), ref.size() * sizeof(double)), 0);
+}
+
+class NodalFactorBytesTest : public NodalTest, public ::testing::WithParamInterface<ShapeCase> {};
+
+TEST_P(NodalFactorBytesTest, PanelFactorIsByteIdenticalToRowByRowReference) {
+  const auto [rows, cols] = GetParam();
+  const double gw = wire_conductance(xbar::CrossbarConfig{});
+  const device::RramParams p;
+  MatrixD open_and_stuck = mixed_conductances(rows, cols, p, 5 + rows);
+  open_and_stuck(0, 0) = 0.0;
+  open_and_stuck(rows - 1, cols - 1) = 0.0;
+  open_and_stuck(rows / 2, cols / 2) = 2.0 * p.g_max;
+  const MatrixD cases[] = {faulty_conductances(rows, cols, 11 + rows * 131 + cols),
+                           mixed_conductances(rows, cols, p, 3 + cols), open_and_stuck,
+                           MatrixD(rows, cols, 0.0)};
+  for (const MatrixD& g : cases) {
+    xbar::NodalSolver solver;
+    ASSERT_TRUE(solver.factorize(g, gw, std::size_t{1} << 30));
+    expect_factor_bytes(solver, g, gw);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, NodalFactorBytesTest,
+    ::testing::Values(ShapeCase{1, 1}, ShapeCase{1, 9}, ShapeCase{9, 1}, ShapeCase{3, 5},
+                      ShapeCase{5, 3}, ShapeCase{16, 16}, ShapeCase{17, 33}, ShapeCase{33, 17},
+                      ShapeCase{64, 32}, ShapeCase{32, 64}, ShapeCase{64, 64}),
+    [](const ::testing::TestParamInfo<ShapeCase>& info) {
+      return std::to_string(info.param.rows) + "x" + std::to_string(info.param.cols);
+    });
+
+TEST_F(NodalTest, RefactorAfterDeclinedUpdateIsByteIdenticalToReference) {
+  // A solver instance that has been updated and then declined a patch
+  // refactorizes exactly like a fresh one.
+  const double gw = wire_conductance(xbar::CrossbarConfig{});
+  MatrixD g = faulty_conductances(17, 33, 77);
+  xbar::NodalSolver solver;
+  ASSERT_TRUE(solver.factorize(g, gw, std::size_t{1} << 30));
+  const xbar::CellDelta patch[] = {{3, 4, 1e-5}, {16, 32, 0.0}};
+  ASSERT_TRUE(solver.update_cells(patch, 2));
+  const xbar::CellDelta bad{5, 6, std::nan("")};
+  EXPECT_FALSE(solver.update_cells(&bad, 1));
+  g(3, 4) = 1e-5;
+  g(16, 32) = 0.0;
+  ASSERT_TRUE(solver.factorize(g, gw, std::size_t{1} << 30));
+  expect_factor_bytes(solver, g, gw);
+}
+
+// ---- dense physics oracle ---------------------------------------------------
+
+// Column currents of the crossbar network built straight from its
+// description, as a dense 2RC x 2RC nodal system solved by Gaussian
+// elimination with partial pivoting.  Unknowns: v(r, c) on the row wire and
+// u(r, c) on the column wire at each crosspoint.  Each cell ties v to u, each
+// wire segment ties neighbours along its wire, the first row-wire segment
+// ties v(r, 0) to the driver at v_in[r], and the last column-wire segment ties
+// u(R-1, c) to the ADC's virtual ground.
+std::vector<double> dense_column_currents(const MatrixD& g, double gw,
+                                          const std::vector<double>& v_in) {
+  const std::size_t rows = g.rows(), cols = g.cols(), n = 2 * rows * cols;
+  const auto v = [&](std::size_t r, std::size_t c) { return r * cols + c; };
+  const auto u = [&](std::size_t r, std::size_t c) { return rows * cols + r * cols + c; };
+  MatrixD a(n, n, 0.0);
+  std::vector<double> b(n, 0.0);
+  const auto tie = [&](std::size_t i, std::size_t j, double gij) {
+    a(i, i) += gij;
+    a(j, j) += gij;
+    a(i, j) -= gij;
+    a(j, i) -= gij;
+  };
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      tie(v(r, c), u(r, c), g(r, c));
+      if (c + 1 < cols) tie(v(r, c), v(r, c + 1), gw);
+      if (r + 1 < rows) tie(u(r, c), u(r + 1, c), gw);
+    }
+    a(v(r, 0), v(r, 0)) += gw;
+    b[v(r, 0)] += gw * v_in[r];
+  }
+  for (std::size_t c = 0; c < cols; ++c) a(u(rows - 1, c), u(rows - 1, c)) += gw;
+
+  for (std::size_t k = 0; k < n; ++k) {
+    std::size_t piv = k;
+    for (std::size_t i = k + 1; i < n; ++i)
+      if (std::abs(a(i, k)) > std::abs(a(piv, k))) piv = i;
+    if (piv != k) {
+      for (std::size_t j = 0; j < n; ++j) std::swap(a(k, j), a(piv, j));
+      std::swap(b[k], b[piv]);
+    }
+    for (std::size_t i = k + 1; i < n; ++i) {
+      const double f = a(i, k) / a(k, k);
+      if (f == 0.0) continue;
+      for (std::size_t j = k; j < n; ++j) a(i, j) -= f * a(k, j);
+      b[i] -= f * b[k];
+    }
+  }
+  std::vector<double> x(n);
+  for (std::size_t i = n; i-- > 0;) {
+    double s = b[i];
+    for (std::size_t j = i + 1; j < n; ++j) s -= a(i, j) * x[j];
+    x[i] = s / a(i, i);
+  }
+  std::vector<double> i_col(cols, 0.0);
+  for (std::size_t r = 0; r < rows; ++r)
+    for (std::size_t c = 0; c < cols; ++c) i_col[c] += g(r, c) * (x[v(r, c)] - x[u(r, c)]);
+  return i_col;
+}
+
+class NodalShapeOracleTest : public NodalTest,
+                             public ::testing::WithParamInterface<ShapeCase> {};
+
+TEST_P(NodalShapeOracleTest, ColumnCurrentsMatchDenseNodalSolve) {
+  const auto [rows, cols] = GetParam();
+  auto cfg = quiet_config(rows, cols);
+  Rng rng(5);
+  xbar::Crossbar xb(cfg, rng);
+  MatrixD targets(rows, cols);
+  Rng fill(19 + rows * 31 + cols);
+  for (double& t : targets.data()) t = fill.uniform(cfg.rram.g_min, cfg.rram.g_max);
+  xb.program_conductances(targets);
+  xb.inject_stuck_fault(0, cols - 1, 0.0);              // open
+  xb.inject_stuck_fault(rows - 1, 0, cfg.rram.g_max);  // stuck on
+  MatrixD g(rows, cols);
+  for (std::size_t r = 0; r < rows; ++r)
+    for (std::size_t c = 0; c < cols; ++c) g(r, c) = xb.conductance(r, c);
+
+  // Inputs on the DAC's levels k / (2^bits - 1), so quantisation is exact.
+  const double levels = static_cast<double>((1u << cfg.dac.bits) - 1);
+  std::vector<double> x(rows), v_in(rows);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double k = static_cast<double>((3 * r + 5) % ((1u << cfg.dac.bits)));
+    x[r] = k / levels;
+    v_in[r] = x[r] * cfg.read_voltage;
+  }
+  const double gw = wire_conductance(cfg);
+
+  xbar::SolveStatus status;
+  const std::vector<double> got = xb.column_currents(x, status);
+  ASSERT_TRUE(status.direct);
+  const std::vector<double> want = dense_column_currents(g, gw, v_in);
+  for (std::size_t c = 0; c < cols; ++c)
+    EXPECT_LE(std::abs(got[c] - want[c]), 1e-12 * std::abs(want[c]))
+        << "column " << c << ": " << got[c] << " vs " << want[c];
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, NodalShapeOracleTest,
+    ::testing::Values(ShapeCase{1, 1}, ShapeCase{2, 3}, ShapeCase{3, 2}, ShapeCase{4, 4},
+                      ShapeCase{5, 9}, ShapeCase{9, 5}, ShapeCase{8, 8}, ShapeCase{12, 7}),
+    [](const ::testing::TestParamInfo<ShapeCase>& info) {
+      return std::to_string(info.param.rows) + "x" + std::to_string(info.param.cols);
+    });
 
 // ---- downstream batch users -------------------------------------------------
 
