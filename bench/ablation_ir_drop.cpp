@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
 
   print_banner(std::cout, "Ablation — IR-drop model fidelity and impact",
                "two-pass analytic estimate vs nodal solve; error induced in column currents");
-  std::cout << "Nodal solver: cached-Cholesky direct path with red-black Gauss-Seidel\n"
+  std::cout << "Nodal solver: cached-LDL^T direct path with red-black Gauss-Seidel\n"
             << "fallback, on " << parallel_thread_count()
             << " thread(s) (XLDS_THREADS; results thread-count independent).\n\n";
 
@@ -62,9 +62,8 @@ int main(int argc, char** argv) {
       Rng rng(seed + n);
       xbar::Crossbar analytic(config_for(n, xbar::IrDropMode::kAnalytic, density), rng);
       auto gs_cfg = config_for(n, xbar::IrDropMode::kNodal, density);
-      gs_cfg.nodal_direct = false;        // iterative reference
-      gs_cfg.nodal_warm_start = false;    // cold-start timing
-      gs_cfg.nodal_max_iters = 20000;     // enough to actually converge
+      gs_cfg.nodal_direct = false;     // iterative reference
+      gs_cfg.nodal_max_iters = 20000;  // enough to actually converge
       xbar::Crossbar gs(gs_cfg, rng);
       xbar::Crossbar direct(config_for(n, xbar::IrDropMode::kNodal, density), rng);
       Rng fill(seed + 1000 + n);

@@ -2,9 +2,8 @@
 //
 // Measures the repeated-query cost of the kNodal readout across array sizes
 // and solve strategies:
-//   * GS cold    — red-black Gauss-Seidel from a flat initial guess (the
-//                  pre-cache behaviour: every query pays the full iteration).
-//   * GS warm    — Gauss-Seidel warm-started from the previous iterate.
+//   * GS cold    — red-black Gauss-Seidel from a flat initial guess (every
+//                  query pays the full iteration).
 //   * factorize  — one NodalSolver::factorize, the minimum over
 //                  kFactorizeReps calls: the one-time cost per programming
 //                  state, timed on its own.
@@ -78,7 +77,6 @@ struct SizeResult {
   std::size_t n = 0;
   std::size_t queries = 0;
   double gs_cold_s = 0.0;      ///< total, `queries` independent cold solves
-  double gs_warm_s = 0.0;      ///< total, warm-started repeated solves
   double factorize_s = 0.0;    ///< one factorization, min over kFactorizeReps
   double direct_query_s = 0.0; ///< total, `queries` cached substitutions
   double batch_s = 0.0;        ///< one readout_batch over `queries` vectors
@@ -99,11 +97,9 @@ SizeResult run_size(std::size_t n, std::size_t queries, std::uint64_t seed) {
   const MatrixD g = half_loaded(n, device::RramParams{}, seed);
   const MatrixD xs = query_batch(queries, n, seed + 1);
 
-  // --- Gauss-Seidel, cold start every query (fresh instance per query kills
-  // both the warm-start iterate and any factorization). --------------------
+  // --- Gauss-Seidel, cold start every query (a fresh instance per query). --
   auto gs_cfg = base_config(n);
   gs_cfg.nodal_direct = false;
-  gs_cfg.nodal_warm_start = false;
   std::vector<std::vector<double>> gs_currents(queries);
   {
     const auto t0 = std::chrono::steady_clock::now();
@@ -115,22 +111,6 @@ SizeResult run_size(std::size_t n, std::size_t queries, std::uint64_t seed) {
       gs_currents[q] = xb.column_currents(x);
     }
     res.gs_cold_s = seconds_since(t0);
-  }
-
-  // --- Gauss-Seidel, warm-started across the query stream. ----------------
-  {
-    auto cfg = base_config(n);
-    cfg.nodal_direct = false;
-    cfg.nodal_warm_start = true;
-    Rng rng(seed + 2);
-    xbar::Crossbar xb(cfg, rng);
-    xb.program_conductances(g);
-    const auto t0 = std::chrono::steady_clock::now();
-    for (std::size_t q = 0; q < queries; ++q) {
-      const std::vector<double> x(xs.row_data(q), xs.row_data(q) + n);
-      (void)xb.column_currents(x);
-    }
-    res.gs_warm_s = seconds_since(t0);
   }
 
   // --- factorize alone, with the wire conductance Crossbar derives from the
@@ -199,12 +179,11 @@ SizeResult run_size(std::size_t n, std::size_t queries, std::uint64_t seed) {
 }
 
 void print_results(const std::vector<SizeResult>& results) {
-  Table table({"array", "queries", "GS cold", "GS warm", "factorize", "per query",
+  Table table({"array", "queries", "GS cold", "factorize", "per query",
                "batched per query", "speedup", "batched speedup", "max dev"});
   for (const SizeResult& r : results) {
     table.add_row({std::to_string(r.n) + "x" + std::to_string(r.n), std::to_string(r.queries),
                    Table::num(r.gs_cold_s * 1e3, 1) + " ms",
-                   Table::num(r.gs_warm_s * 1e3, 1) + " ms",
                    Table::num(r.factorize_s * 1e3, 2) + " ms",
                    Table::num(r.direct_query_s * 1e3 / static_cast<double>(r.queries), 2) + " ms",
                    Table::num(r.batch_s * 1e3 / static_cast<double>(r.queries), 2) + " ms",
@@ -228,7 +207,6 @@ void emit_json(const std::vector<SizeResult>& results) {
     const SizeResult& r = results[i];
     json << "    {\"array\": " << r.n << ", \"queries\": " << r.queries
          << ", \"gs_cold_seconds\": " << r.gs_cold_s
-         << ", \"gs_warm_seconds\": " << r.gs_warm_s
          << ", \"factorize_seconds\": " << r.factorize_s
          << ", \"factorized_repeated_seconds\": " << r.direct_query_s
          << ", \"factorized_batched_seconds\": " << r.batch_s
@@ -292,7 +270,7 @@ int main(int argc, char** argv) {
   const std::uint64_t seed = args.uinteger("seed");
 
   print_banner(std::cout, "Micro-benchmark — factorization-cached nodal solver",
-               "GS cold vs warm vs factorized (single and batched multi-RHS)");
+               "GS cold vs factorized (single and batched multi-RHS)");
   std::cout << "Threads: " << parallel_thread_count() << " (XLDS_THREADS).\n\n";
 
   std::vector<SizeResult> results;
@@ -307,13 +285,6 @@ int main(int argc, char** argv) {
                "then answers each query with a forward/back substitution — 10x+ faster\n"
                "on repeated 64x64 queries.  The batched path substitutes blocks of\n"
                "queries in one pass over the factor, so it beats repeated queries even\n"
-               "on one thread, with identical bits.  Warm-started Gauss-Seidel shifts\n"
-               "the stored iterate by each row's driver-voltage change before reusing\n"
-               "it, so on the decorrelated random queries measured here it starts at\n"
-               "least as close as the cold flat guess (it used to start from the raw\n"
-               "previous solution, which was strictly worse and made \"warm\" slower\n"
-               "than cold); it still trails the direct path by an order of magnitude,\n"
-               "which is why factorization — not warm starting — is the default\n"
-               "answer to repeated-query workloads.\n";
+               "on one thread, with identical bits.\n";
   return 0;
 }

@@ -11,7 +11,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "dse/jobspec.hpp"
 #include "dse/journal.hpp"
 #include "shard/result_cache.hpp"
 #include "shard/shard_pool.hpp"
@@ -430,7 +429,6 @@ ExplorationResult explore(const EngineConfig& config) {
     shard::ShardConfig sc;
     sc.shards = shards;
     sc.job_hash = job_hash(space, ladder);
-    sc.job_json = shard_job_spec_text(config);
     sc.application = config.application;
     sc.evaluator = [&ladder](const core::DesignPoint& p, std::uint32_t tier) {
       return ladder.evaluate(p, static_cast<Fidelity>(tier));

@@ -261,9 +261,6 @@ util::Json result_to_json(const ExplorationResult& result, bool include_stats) {
     nodal.set("drift_refactorizations", s.nodal.drift_refactorizations);
     stats.set("nodal", std::move(nodal));
     util::Json sched = util::Json::object();
-    sched.set("mode", parallel_scheduler() == SchedulerMode::kWorkStealing
-                          ? "work-stealing"
-                          : "static");
     sched.set("threads", parallel_thread_count());
     sched.set("jobs", s.scheduler.counts.jobs);
     sched.set("inline_jobs", s.scheduler.counts.inline_jobs);

@@ -37,11 +37,7 @@ namespace xlds::dse {
 EngineConfig config_from_spec(const util::Json& spec);
 EngineConfig config_from_spec_text(const std::string& text);
 
-/// The job-*identity* subset of a config as a spec document: application,
-/// space axes and fidelity settings — everything a FOM value depends on,
-/// nothing a trajectory depends on.  This is what the shard Hello carries so
-/// an exec'd worker (tools/xlds-shard-worker) can rebuild the ladder and
-/// prove, via the job hash it acks, that both processes price the same job.
+/// Kept only because perfbench/dse_workloads.cpp assigns it to ShardConfig::job_json.
 std::string shard_job_spec_text(const EngineConfig& config);
 
 /// Result document.  Deterministic for a deterministic result; with

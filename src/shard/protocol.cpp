@@ -113,15 +113,13 @@ std::string encode_hello(const Hello& m) {
   append_raw(body, static_cast<std::uint8_t>(MsgType::kHello));
   append_raw(body, m.job_hash);
   append_raw(body, m.worker_threads);
-  append_string(body, m.job_json);
   return body;
 }
 
 bool decode_hello(const std::string& body, Hello& m) {
   std::size_t pos = 0;
   return expect_type(body, pos, MsgType::kHello) && read_raw(body, pos, m.job_hash) &&
-         read_raw(body, pos, m.worker_threads) && read_string(body, pos, m.job_json) &&
-         at_end(body, pos);
+         read_raw(body, pos, m.worker_threads) && at_end(body, pos);
 }
 
 std::string encode_hello_ack(const HelloAck& m) {

@@ -8,10 +8,8 @@
 //
 // Messages (parent -> worker unless noted):
 //
-//   Hello        job hash u64 | worker threads u32 | job-spec JSON (length-
-//                prefixed) — identity handshake; the JSON lets an exec'd
-//                worker rebuild the fidelity ladder the parent holds
-//   HelloAck     (worker -> parent) the job hash the worker derived | pid —
+//   Hello        job hash u64 | worker threads u32 — identity handshake
+//   HelloAck     (worker -> parent) the job hash the worker holds | pid —
 //                a mismatch aborts the spawn before any evaluation runs
 //   EvalRequest  request id u64 | tier u32 | n points, each the DesignPoint's
 //                three axis enums + the parent-side space index (echoed back
@@ -51,11 +49,10 @@ enum class MsgType : std::uint8_t {
 struct Hello {
   std::uint64_t job_hash = 0;
   std::uint32_t worker_threads = 1;  ///< pool width the worker should use
-  std::string job_json;              ///< job-identity spec for exec'd workers
 };
 
 struct HelloAck {
-  std::uint64_t job_hash = 0;  ///< hash the worker derived (must echo Hello's)
+  std::uint64_t job_hash = 0;  ///< must echo the Hello's
   std::int32_t pid = 0;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <utility>
 
@@ -49,8 +48,7 @@ struct ShardPool::Group {
 
 ShardPool::ShardPool(ShardConfig config) : cfg_(std::move(config)) {
   XLDS_REQUIRE_MSG(cfg_.shards >= 1, "a shard pool needs at least one worker");
-  XLDS_REQUIRE_MSG(cfg_.evaluator || !cfg_.exec_path.empty(),
-                   "ShardConfig needs an evaluator (fork mode) or an exec_path");
+  XLDS_REQUIRE_MSG(cfg_.evaluator, "ShardConfig needs an evaluator");
   if (cfg_.inflight_per_worker == 0) cfg_.inflight_per_worker = 1;
   if (cfg_.max_points_per_request == 0) cfg_.max_points_per_request = 1;
   if (cfg_.worker_threads == 0)
@@ -87,19 +85,10 @@ void ShardPool::spawn(std::size_t slot) {
     ::close(sv[0]);
     for (const Worker& other : workers_)
       if (other.fd >= 0) ::close(other.fd);
-    if (!cfg_.exec_path.empty()) {
-      char fd_str[16];
-      std::snprintf(fd_str, sizeof fd_str, "%d", sv[1]);
-      ::execl(cfg_.exec_path.c_str(), cfg_.exec_path.c_str(), "--fd", fd_str,
-              static_cast<char*>(nullptr));
-      std::fprintf(stderr, "xlds-shard: exec '%s' failed: %s\n", cfg_.exec_path.c_str(),
-                   std::strerror(errno));
-      ::_exit(41);
-    }
-    WorkerInit init;
-    init.job.application = cfg_.application;
-    init.job.evaluate = cfg_.evaluator;
-    ::_exit(serve_worker(sv[1], init));
+    WorkerJob job;
+    job.application = cfg_.application;
+    job.evaluate = cfg_.evaluator;
+    ::_exit(serve_worker(sv[1], job));
   }
 
   // Parent.
@@ -112,7 +101,6 @@ void ShardPool::spawn(std::size_t slot) {
   Hello hello;
   hello.job_hash = cfg_.job_hash;
   hello.worker_threads = static_cast<std::uint32_t>(cfg_.worker_threads);
-  hello.job_json = cfg_.job_json;
 
   std::string body;
   HelloAck ack;
@@ -124,9 +112,8 @@ void ShardPool::spawn(std::size_t slot) {
   }
   if (ack.job_hash != cfg_.job_hash) {
     shutdown_worker(w, /*send_shutdown=*/false);
-    XLDS_REQUIRE_MSG(false, "shard worker " << slot << " derived job hash " << std::hex
-                                            << ack.job_hash << ", parent has " << cfg_.job_hash
-                                            << " — worker binary out of sync with this build?");
+    XLDS_REQUIRE_MSG(false, "shard worker " << slot << " acked job hash " << std::hex
+                                            << ack.job_hash << ", parent has " << cfg_.job_hash);
   }
 }
 

@@ -4,9 +4,7 @@
 // tiers sit on top of memoized per-device caches (IR-drop envelopes, Monte
 // Carlo probe curves) guarded by mutexes that serialise first-touch, and a
 // single address space caps the useful width at one machine's cores anyway.
-// Forked shards give each worker its own cache arena and scheduler, and the
-// same protocol runs an exec'd worker binary (tools/xlds-shard-worker), the
-// stepping stone to distributing shards across machines.
+// Forked shards give each worker its own cache arena and scheduler.
 //
 // Determinism contract (inherits the journal's): sharding changes *where* a
 // point is priced, never *what* it evaluates to.  The pool guarantees the
@@ -62,13 +60,9 @@ struct ShardConfig {
   std::size_t max_respawns = 8;
 
   std::uint64_t job_hash = 0;   ///< identity every worker must ack
-  std::string job_json;         ///< job spec an exec'd worker rebuilds from
+  std::string job_json;         ///< kept only because perfbench/dse_workloads.cpp assigns it
   std::string application;      ///< application bound to every wire point
-  PointEvaluator evaluator;     ///< fork mode evaluator (required unless exec)
-  /// Non-empty: spawn this binary (fork + exec) instead of forking the
-  /// evaluator closure.  The binary must speak the worker protocol on the fd
-  /// passed via --fd (tools/xlds-shard-worker does).
-  std::string exec_path;
+  PointEvaluator evaluator;     ///< required; each forked worker inherits it
 
   /// Test hook: SIGKILL worker 0 once this many point results have merged
   /// (0 = off) — drives the crash-recovery tests deterministically.

@@ -1,7 +1,6 @@
 #include "shard/worker.hpp"
 
 #include <chrono>
-#include <cstdio>
 #include <exception>
 
 #include <unistd.h>
@@ -40,34 +39,18 @@ core::Profiler::SchedCounts sched_delta(const core::Profiler::SchedCounts& a,
 
 }  // namespace
 
-int serve_worker(int fd, const WorkerInit& init) {
+int serve_worker(int fd, const WorkerJob& job) {
   std::string body;
   if (read_frame(fd, body) != ReadStatus::kOk) return 10;
   Hello hello;
   if (!decode_hello(body, hello)) return 11;
 
-  WorkerJob job;
-  if (init.job.evaluate) {
-    job = init.job;
-  } else if (init.factory) {
-    try {
-      job = init.factory(hello);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "xlds-shard-worker: cannot build job: %s\n", e.what());
-      return 12;
-    }
-  } else {
-    return 12;
-  }
-  if (job.job_hash == 0) job.job_hash = hello.job_hash;
-
   set_parallel_threads(hello.worker_threads == 0 ? 1 : hello.worker_threads);
 
   HelloAck ack;
-  ack.job_hash = job.job_hash;
+  ack.job_hash = hello.job_hash;
   ack.pid = static_cast<std::int32_t>(::getpid());
   if (!write_frame(fd, encode_hello_ack(ack))) return 13;
-  if (job.job_hash != hello.job_hash) return 14;  // parent sees the ack and aborts too
 
   for (;;) {
     const ReadStatus s = read_frame(fd, body);

@@ -5,16 +5,8 @@
 // materialised design points over the wire and prices them through an
 // injected evaluator callback, so src/shard/ depends only on core + util and
 // the dependency arrow between dse and shard points one way (dse -> shard).
-// Two ways to obtain the evaluator:
-//
-//   fork mode (ShardPool default): the parent forks without exec, and the
-//   child inherits the evaluator closure (and every warm memo cache the
-//   parent had built) directly — `WorkerInit::job` is set.
-//
-//   exec mode (tools/xlds-shard-worker): a fresh process builds the
-//   evaluator from the Hello's job-spec JSON via `WorkerInit::factory`, and
-//   acks with the job hash *it* derived so the parent can verify both sides
-//   agree on the job identity before any evaluation runs.
+// ShardPool forks without exec, so the child inherits the evaluator closure
+// (and every warm memo cache the parent had built) directly.
 #pragma once
 
 #include <cstdint>
@@ -35,23 +27,14 @@ using PointEvaluator =
 struct WorkerJob {
   std::string application;  ///< application every wire point is bound to
   PointEvaluator evaluate;
-  /// Job identity this worker acks with; 0 = echo the Hello's hash (fork
-  /// mode, where parent and child share the ladder by construction).
-  std::uint64_t job_hash = 0;
 };
 
-using JobFactory = std::function<WorkerJob(const Hello& hello)>;
-
-struct WorkerInit {
-  WorkerJob job;       ///< fork mode: non-null evaluate
-  JobFactory factory;  ///< exec mode: build the job from the Hello
-};
-
-/// Serve requests on `fd` until Shutdown or EOF (parent gone).  Returns the
-/// process exit code: 0 on a clean shutdown, non-zero on a protocol or
-/// handshake failure (each code is distinct to make post-mortems legible).
-/// Evaluation exceptions do NOT exit: they are forwarded as EvalError frames
-/// and the worker keeps serving.
-int serve_worker(int fd, const WorkerInit& init);
+/// Serve requests on `fd` until Shutdown or EOF (parent gone).  The worker
+/// acks the Hello's job hash, so parent and child agree on the job identity
+/// by construction.  Returns the process exit code: 0 on a clean shutdown,
+/// non-zero on a protocol or handshake failure (each code is distinct to
+/// make post-mortems legible).  Evaluation exceptions do NOT exit: they are
+/// forwarded as EvalError frames and the worker keeps serving.
+int serve_worker(int fd, const WorkerJob& job);
 
 }  // namespace xlds::shard

@@ -28,20 +28,4 @@ std::size_t env_positive_count(const char* name, std::size_t fallback) {
   return fallback;
 }
 
-std::string env_choice(const char* name, const char* const* allowed,
-                       const std::string& fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr) return fallback;
-  for (const char* const* a = allowed; *a != nullptr; ++a)
-    if (std::string(*a) == env) return *a;
-  std::string valid;
-  for (const char* const* a = allowed; *a != nullptr; ++a) {
-    if (!valid.empty()) valid += " | ";
-    valid += *a;
-  }
-  std::fprintf(stderr, "xlds: ignoring %s='%s' (valid: %s); using '%s'\n", name, env,
-               valid.c_str(), fallback.c_str());
-  return fallback;
-}
-
 }  // namespace xlds::util

@@ -1,11 +1,11 @@
 // Validated environment-variable parsing for the XLDS_* tuning knobs.
 //
-// XLDS_THREADS / XLDS_SHARDS / XLDS_SCHED only ever change wall-clock
-// behaviour, never results — but a typo'd value silently falling back to a
-// default is still a trap: the user believes they pinned the pool width and
-// the run quietly used every core.  These helpers accept exactly the values
-// the docs name, and reject everything else with a one-line stderr warning
-// naming the variable, the offending value and the fallback actually used.
+// XLDS_THREADS / XLDS_SHARDS only ever change wall-clock behaviour, never
+// results — but a typo'd value silently falling back to a default is still a
+// trap: the user believes they pinned the pool width and the run quietly
+// used every core.  These helpers accept exactly the values the docs name,
+// and reject everything else with a one-line stderr warning naming the
+// variable, the offending value and the fallback actually used.
 #pragma once
 
 #include <cstddef>
@@ -21,12 +21,5 @@ std::optional<std::size_t> parse_positive_count(const std::string& text);
 /// Read environment variable `name` as a positive count.  Unset -> fallback
 /// silently; set but unparseable -> one-line stderr warning, then fallback.
 std::size_t env_positive_count(const char* name, std::size_t fallback);
-
-/// Read environment variable `name` constrained to one of `allowed` (a
-/// null-terminated array of C strings).  Unset -> fallback silently; set to
-/// anything else -> one-line stderr warning listing the valid values, then
-/// fallback.
-std::string env_choice(const char* name, const char* const* allowed,
-                       const std::string& fallback);
 
 }  // namespace xlds::util

@@ -31,19 +31,9 @@ std::size_t env_thread_count() {
                                   hw == 0 ? 1 : static_cast<std::size_t>(hw));
 }
 
-SchedulerMode env_scheduler_mode() {
-  static const char* const kModes[] = {"steal", "static", nullptr};
-  return util::env_choice("XLDS_SCHED", kModes, "steal") == "static"
-             ? SchedulerMode::kStatic
-             : SchedulerMode::kWorkStealing;
-}
-
 /// One dispatched batch of units (chunks).  `unit` is borrowed from the
-/// caller's stack frame, which is safe because a claimed task index is
-/// bounds-checked against `n_tasks` before `unit` is ever dereferenced —
-/// a thread waking up late against a drained job never touches freed state
-/// (static mode additionally keeps drained jobs alive via shared_ptr so the
-/// claim cursor itself stays valid).
+/// caller's stack frame, which is safe because the caller returns only once
+/// every task has been taken off a deque and run (see run_stealing).
 struct Job {
   Job(const std::function<void(std::size_t)>& u, std::size_t units, std::size_t g,
       Job* parent_job)
@@ -58,7 +48,6 @@ struct Job {
   const std::size_t total_units;
   const std::size_t group;  ///< units per task (task k covers [k*group, ...))
   const std::size_t n_tasks;
-  std::atomic<std::size_t> next{0};    ///< static-mode claim cursor (task index)
   std::atomic<std::size_t> remaining;  ///< units not yet finished
   std::atomic<std::size_t> fail_unit{kNoFailure};  ///< lowest unit index that threw
   std::exception_ptr error;  ///< exception of fail_unit; guarded by Pool::error_mutex_
@@ -83,10 +72,9 @@ thread_local int t_lane = -1;
 thread_local Job* t_current_job = nullptr;
 
 /// Lazily-started pool: one top-level job at a time (run_mutex_), executed
-/// either through a shared claim cursor (kStatic) or per-lane deques with
-/// stealing (kWorkStealing).  Dynamic placement is fine under the determinism
-/// contract because every unit is self-contained (rules 1-2 in the header):
-/// which lane runs a chunk never influences the chunk's result.
+/// through per-lane deques with stealing.  Dynamic placement is fine under
+/// the determinism contract because every unit is self-contained (rules 1-2
+/// in the header): which lane runs a chunk never influences its result.
 class Pool {
  public:
   static Pool& instance() {
@@ -122,13 +110,6 @@ class Pool {
     quiesced_ = true;
   }
 
-  SchedulerMode mode() const { return mode_.load(std::memory_order_relaxed); }
-
-  void set_mode(SchedulerMode m) {
-    std::lock_guard<std::mutex> run_lk(run_mutex_);  // never flip mid-job
-    mode_.store(m, std::memory_order_relaxed);
-  }
-
   /// Run unit(u) for every u in [0, n_units) grouped into tasks of at least
   /// `min_units` units, block until all complete, rethrow the lowest-index
   /// recorded exception.
@@ -143,7 +124,7 @@ class Pool {
     }
 
     if (t_current_job != nullptr) {  // nested call from inside a unit
-      if (mode() == SchedulerMode::kStatic || lane_count == 1) {
+      if (lane_count == 1) {
         core::Profiler::count_sched_nested(/*cooperative=*/false);
         run_inline(n_units, unit);
         return;
@@ -164,10 +145,7 @@ class Pool {
     }
     std::lock_guard<std::mutex> run_lk(run_mutex_, std::adopt_lock);
     core::Profiler::count_sched_job();
-    if (mode() == SchedulerMode::kStatic)
-      run_static(n_units, group, unit);
-    else
-      run_stealing(n_units, group, unit, lane_count);
+    run_stealing(n_units, group, unit, lane_count);
   }
 
  private:
@@ -176,7 +154,7 @@ class Pool {
     std::deque<TaskRange> q;
   };
 
-  Pool() : mode_(env_scheduler_mode()) {}
+  Pool() = default;
 
   ~Pool() {
     std::lock_guard<std::mutex> lk(config_mutex_);
@@ -261,50 +239,6 @@ class Pool {
       done_cv_.notify_all();
     }
   }
-
-  // ---- static mode (shared claim cursor) ----------------------------------
-
-  void run_static(std::size_t n_units, std::size_t group,
-                  const std::function<void(std::size_t)>& unit) {
-    // Heap-allocated and shared with every participating worker, so a worker
-    // waking up late can still claim safely: a drained job's cursor stays
-    // past n_tasks forever and the claim check runs before any dereference.
-    auto job = std::make_shared<Job>(unit, n_units, group, nullptr);
-    {
-      std::lock_guard<std::mutex> lk(work_mutex_);
-      current_static_ = job;
-      ++work_epoch_;
-    }
-    work_cv_.notify_all();
-    work_on_static(*job);  // the calling thread participates
-    {
-      std::unique_lock<std::mutex> lk(done_mutex_);
-      done_cv_.wait(lk, [&] { return job->remaining.load(std::memory_order_acquire) == 0; });
-    }
-    {
-      std::lock_guard<std::mutex> lk(work_mutex_);
-      current_static_.reset();
-    }
-    // Move the error out before rethrowing: a worker's late shared_ptr
-    // release may destroy the Job after we return, and the exception object
-    // must not lose its last reference on that worker while the caller is
-    // still examining the rethrown copy.
-    std::exception_ptr error = std::move(job->error);
-    if (error) std::rethrow_exception(error);
-  }
-
-  bool work_on_static(Job& job) {
-    bool any = false;
-    for (;;) {
-      const std::size_t k = job.next.fetch_add(1, std::memory_order_relaxed);
-      if (k >= job.n_tasks) return any;
-      any = true;
-      core::Profiler::count_sched_task(/*stolen=*/false);
-      run_task(job, k);
-    }
-  }
-
-  // ---- work-stealing mode (per-lane deques) -------------------------------
 
   void run_stealing(std::size_t n_units, std::size_t group,
                     const std::function<void(std::size_t)>& unit, std::size_t lane_count) {
@@ -437,16 +371,12 @@ class Pool {
     t_lane = static_cast<int>(lane);
     for (;;) {
       std::uint64_t epoch;
-      std::shared_ptr<Job> static_job;
       {
         std::lock_guard<std::mutex> lk(work_mutex_);
         if (stopping_) return;
         epoch = work_epoch_;
-        static_job = current_static_;
       }
       bool worked = false;
-      if (static_job) worked |= work_on_static(*static_job);
-      static_job.reset();
       TaskRange t;
       while (take_any(lane, lane_count, t)) {
         run_task(*t.job, t.task);
@@ -468,13 +398,11 @@ class Pool {
   std::size_t target_lanes_ = 1;
   std::vector<std::thread> workers_;
   std::vector<std::unique_ptr<Lane>> lanes_;  ///< deques; stable while workers run
-  std::atomic<SchedulerMode> mode_;
 
-  std::mutex work_mutex_;  ///< guards work_epoch_/stopping_/current_static_
+  std::mutex work_mutex_;  ///< guards work_epoch_/stopping_
   std::condition_variable work_cv_;
   std::uint64_t work_epoch_ = 0;
   bool stopping_ = false;
-  std::shared_ptr<Job> current_static_;
 
   std::mutex done_mutex_;  ///< pairs with done_cv_; completion is remaining==0
   std::condition_variable done_cv_;
@@ -486,10 +414,6 @@ class Pool {
 std::size_t parallel_thread_count() { return Pool::instance().lanes(); }
 
 void set_parallel_threads(std::size_t n) { Pool::instance().resize(n); }
-
-SchedulerMode parallel_scheduler() { return Pool::instance().mode(); }
-
-void set_parallel_scheduler(SchedulerMode mode) { Pool::instance().set_mode(mode); }
 
 void parallel_quiesce_for_fork() { Pool::instance().quiesce_for_fork(); }
 

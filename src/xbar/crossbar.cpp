@@ -102,10 +102,6 @@ void Crossbar::invalidate_nodal_cache() {
   std::lock_guard<std::mutex> lk(nodal_cache_.mu);
   nodal_cache_.solver = nullptr;
   nodal_cache_.attempted = false;
-  nodal_cache_.warm = false;
-  nodal_cache_.warm_v = MatrixD{};
-  nodal_cache_.warm_u = MatrixD{};
-  nodal_cache_.warm_vin.clear();
 }
 
 std::shared_ptr<const NodalSolver> Crossbar::ensure_factorized() const {
@@ -138,11 +134,6 @@ std::shared_ptr<const NodalSolver> Crossbar::refactorize_fresh() const {
 void Crossbar::note_cell_updates(const CellDelta* deltas, std::size_t count) {
   NodalCache& cache = nodal_cache_;
   std::lock_guard<std::mutex> lk(cache.mu);
-  // The Gauss-Seidel warm iterate belongs to the previous programming state.
-  cache.warm = false;
-  cache.warm_v = MatrixD{};
-  cache.warm_u = MatrixD{};
-  cache.warm_vin.clear();
   if (cache.solver == nullptr || !cache.solver->ready()) {
     cache.solver = nullptr;
     cache.attempted = false;
@@ -196,8 +187,8 @@ void Crossbar::program_conductances(const MatrixD& targets) {
   }
   weights_ = MatrixD{};
   // A re-program that lands every cell exactly where it was (e.g. identical
-  // noiseless targets) changes nothing electrically: the factorization and
-  // warm iterate stay valid.
+  // noiseless targets) changes nothing electrically: the factorization
+  // stays valid.
   if (patch.count != 0) note_cell_updates(patch.deltas.data(), patch.count);
 }
 
@@ -425,35 +416,12 @@ std::vector<double> Crossbar::currents_nodal_gs(const std::vector<double>& v_in,
   core::Profiler::count_gs_solve();
   const std::size_t R = config_.rows, C = config_.cols;
   const double gw = 1.0 / wire_r_per_cell_;
+  // Cold start: every row wire at its driver voltage, column wires at
+  // ground.  The result is then a function of (conductances, input) alone.
   MatrixD v(R, C, 0.0);  // row-wire node voltages
   MatrixD u(R, C, 0.0);  // column-wire node voltages
-  bool warmed = false;
-  if (config_.nodal_warm_start) {
-    // Start from the previous converged iterate when one exists: repeated or
-    // similar queries then converge in a handful of sweeps instead of a cold
-    // climb from the flat initial guess.  Shifting each row-wire voltage by
-    // the change in its driver voltage removes the dominant error term when
-    // the new query differs from the stored one (the row-wire profile rides
-    // on v_in[r]; the column-wire layer is driven by totals, which the sweeps
-    // re-balance quickly) — and is a no-op for a repeated query.
-    std::lock_guard<std::mutex> lk(nodal_cache_.mu);
-    if (nodal_cache_.warm) {
-      v = nodal_cache_.warm_v;
-      u = nodal_cache_.warm_u;
-      for (std::size_t r = 0; r < R; ++r) {
-        const double shift = v_in[r] - nodal_cache_.warm_vin[r];
-        if (shift != 0.0) {
-          double* vr = v.row_data(r);
-          for (std::size_t c = 0; c < C; ++c) vr[c] += shift;
-        }
-      }
-      warmed = true;
-    }
-  }
-  if (!warmed) {
-    for (std::size_t r = 0; r < R; ++r)
-      for (std::size_t c = 0; c < C; ++c) v(r, c) = v_in[r];
-  }
+  for (std::size_t r = 0; r < R; ++r)
+    for (std::size_t c = 0; c < C; ++c) v(r, c) = v_in[r];
 
   // Relax every cell of `colour` in row r (v first, then u) and return the
   // row's largest update.  Row-pointer sweep: within one colour pass the
@@ -543,13 +511,6 @@ std::vector<double> Crossbar::currents_nodal_gs(const std::vector<double>& v_in,
                 << " array); falling back to the analytic IR-drop estimate\n";
     }
     return currents_analytic(v_in);
-  }
-  if (config_.nodal_warm_start) {
-    std::lock_guard<std::mutex> lk(nodal_cache_.mu);
-    nodal_cache_.warm_v = v;
-    nodal_cache_.warm_u = u;
-    nodal_cache_.warm_vin.assign(v_in.begin(), v_in.end());
-    nodal_cache_.warm = true;
   }
   // Read the column current as the sum of cell currents: identical to the
   // bottom-segment current at convergence, but far better conditioned than
@@ -711,8 +672,7 @@ MatrixD Crossbar::readout_batch(const MatrixD& inputs,
           }
         }
         // A direct solve that misses the tolerance falls back to the
-        // iterative path — sequentially, in index order, exactly as repeated
-        // single-query readouts would (warm-start state evolves identically).
+        // iterative path, exactly as a single-query readout would.
         for (std::size_t b = 0; b < batch; ++b) {
           if (local[b].converged) continue;
           std::vector<double> v(v_in.row_data(b), v_in.row_data(b) + config_.rows);
@@ -720,8 +680,6 @@ MatrixD Crossbar::readout_batch(const MatrixD& inputs,
           std::copy(i.begin(), i.end(), out.row_data(b));
         }
       } else {
-        // Iterative path: strictly sequential so the warm-start iterate each
-        // query sees matches the single-query sequence bit for bit.
         for (std::size_t b = 0; b < batch; ++b) {
           std::vector<double> v(v_in.row_data(b), v_in.row_data(b) + config_.rows);
           const std::vector<double> i = currents_nodal_gs(v, local[b]);

@@ -72,15 +72,6 @@ struct CrossbarConfig {
   /// Memory cap for the cached LDL^T factor; larger systems fall back to
   /// Gauss-Seidel instead of allocating an oversized profile.
   std::size_t nodal_direct_max_bytes = 256u << 20;
-  /// Warm-start Gauss-Seidel from the previous converged iterate, shifted by
-  /// the per-row driver-voltage difference between the stored query and the
-  /// new one (only used where the direct path is off/unavailable).  The shift
-  /// removes the dominant error term for decorrelated queries, so the warm
-  /// guess is at least as close as the cold flat guess whether or not the
-  /// inputs repeat.  Results stay within the solver tolerance of a cold
-  /// start but are not bit-identical to one, and depend on the query order —
-  /// disable for strict cold-start reproducibility.
-  bool nodal_warm_start = true;
   /// Apply small programming changes (stuck faults, partial re-programs) to
   /// the cached factorization as rank-1 up/down-dates instead of dropping
   /// it.  Falls back to a full refactorization when the patch is too large
@@ -227,9 +218,9 @@ class Crossbar {
   std::size_t nodal_updates_applied() const;
 
  private:
-  // Solver cache + Gauss-Seidel warm-start state.  Guarded by `mu` so
-  // concurrent const readouts (the parallel evaluator shares arrays across
-  // worker threads) build the factorization exactly once without racing.
+  // Direct-solver cache.  Guarded by `mu` so concurrent const readouts (the
+  // parallel evaluator shares arrays across worker threads) build the
+  // factorization exactly once without racing.
   // Mutating the array (program/fault/age) while another thread reads is
   // outside the contract, as it always was for the conductances themselves.
   // The solver lives behind a shared_ptr so the rare drift-triggered
@@ -240,9 +231,6 @@ class Crossbar {
     std::mutex mu;
     std::shared_ptr<NodalSolver> solver;
     bool attempted = false;  ///< factorization tried since the last invalidation
-    MatrixD warm_v, warm_u;  ///< last converged Gauss-Seidel iterate
-    std::vector<double> warm_vin;  ///< driver voltages that iterate solved
-    bool warm = false;
   };
 
   std::vector<double> currents_ideal(const std::vector<double>& v_in) const;
@@ -250,7 +238,7 @@ class Crossbar {
   /// Dispatch: direct solve when enabled and factorizable, else Gauss-Seidel.
   std::vector<double> currents_nodal(const std::vector<double>& v_in,
                                      SolveStatus& status) const;
-  /// Iterative red-black Gauss-Seidel path (optionally warm-started).
+  /// Iterative red-black Gauss-Seidel path, started cold from the drivers.
   std::vector<double> currents_nodal_gs(const std::vector<double>& v_in,
                                         SolveStatus& status) const;
   /// Factorized multi-RHS path over queries [first, batch); rhs/out are
@@ -269,8 +257,7 @@ class Crossbar {
   void invalidate_nodal_cache();
   /// Route a programming patch to the cached factorization: apply it as
   /// rank-1 up/down-dates when the incremental policy accepts it, otherwise
-  /// invalidate the cache.  The Gauss-Seidel warm iterate is dropped either
-  /// way (it belongs to the previous programming state).
+  /// invalidate the cache.
   void note_cell_updates(const CellDelta* deltas, std::size_t count);
   /// Read-noise + dead-lane post-processing (consumes the instance RNG).
   void apply_readout_noise(double* currents) const;

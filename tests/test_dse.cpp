@@ -385,11 +385,11 @@ TEST(Engine, ThreadCountDoesNotChangeResults) {
   EXPECT_EQ(serial.ranking, wide.ranking);
 }
 
-TEST(Engine, SchedulerModeDoesNotChangeResultsOrJournalBytes) {
-  // Static vs work-stealing dispatch on the same MC-fidelity job spec: the
-  // results — and every journal byte — must be identical, because placement
-  // decides only *where* a chunk runs and the journal appends in charge
-  // order either way.
+TEST(Engine, LaneCountDoesNotChangeResultsOrJournalBytes) {
+  // The same MC-fidelity job spec on the 1-lane inline path and on an 8-lane
+  // pool: the results — and every journal byte — must be identical, because
+  // placement decides only *where* a chunk runs and the journal appends in
+  // charge order either way.
   const auto read_bytes = [](const std::string& path) {
     std::ifstream in(path, std::ios::binary);
     return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
@@ -400,22 +400,21 @@ TEST(Engine, SchedulerModeDoesNotChangeResultsOrJournalBytes) {
   config.seed = 7;
   config.fidelity.max_fidelity = Fidelity::kMonteCarlo;
 
-  TempPath j_static("sched_static"), j_steal("sched_steal");
+  TempPath j_serial("lanes_1"), j_wide("lanes_8");
+  set_parallel_threads(1);
+  config.journal_path = j_serial.str();
+  const ExplorationResult r_serial = explore(config);
   set_parallel_threads(8);
-  set_parallel_scheduler(SchedulerMode::kStatic);
-  config.journal_path = j_static.str();
-  const ExplorationResult r_static = explore(config);
-  set_parallel_scheduler(SchedulerMode::kWorkStealing);
-  config.journal_path = j_steal.str();
-  const ExplorationResult r_steal = explore(config);
-  set_parallel_threads(0);  // restore defaults (mode already back to stealing)
+  config.journal_path = j_wide.str();
+  const ExplorationResult r_wide = explore(config);
+  set_parallel_threads(0);  // restore default
 
-  EXPECT_TRUE(same_foms(r_static, r_steal));
-  EXPECT_EQ(r_static.front, r_steal.front);
-  EXPECT_EQ(r_static.ranking, r_steal.ranking);
-  const std::string bytes_static = read_bytes(j_static.str());
-  ASSERT_FALSE(bytes_static.empty());
-  EXPECT_EQ(bytes_static, read_bytes(j_steal.str()));
+  EXPECT_TRUE(same_foms(r_serial, r_wide));
+  EXPECT_EQ(r_serial.front, r_wide.front);
+  EXPECT_EQ(r_serial.ranking, r_wide.ranking);
+  const std::string bytes_serial = read_bytes(j_serial.str());
+  ASSERT_FALSE(bytes_serial.empty());
+  EXPECT_EQ(bytes_serial, read_bytes(j_wide.str()));
 }
 
 // ---- engine semantics -------------------------------------------------------

@@ -1,7 +1,7 @@
 // Unit tests for the multi-process evaluation shard layer: the wire
 // protocol's encode/decode and framing discipline, the persistent cross-run
-// result cache, the fork-mode and exec-mode shard pool, worker-death
-// recovery, the validated XLDS_* env parsing — and the headline acceptance
+// result cache, the forked shard pool, worker-death recovery, the validated
+// XLDS_* env parsing — and the headline acceptance
 // property: a sharded exploration (even one whose worker is SIGKILLed
 // mid-batch, even one served from a warm cache) produces journal bytes and
 // results bit-identical to the in-process run.
@@ -20,7 +20,6 @@
 #include <unistd.h>
 
 #include "dse/engine.hpp"
-#include "dse/jobspec.hpp"
 #include "shard/protocol.hpp"
 #include "shard/result_cache.hpp"
 #include "shard/shard_pool.hpp"
@@ -109,12 +108,10 @@ TEST(Protocol, HelloRoundTrips) {
   Hello in;
   in.job_hash = 0xdeadbeefcafef00dull;
   in.worker_threads = 3;
-  in.job_json = "{\"application\":\"isolet-like\"}";
   Hello out;
   ASSERT_TRUE(decode_hello(encode_hello(in), out));
   EXPECT_EQ(out.job_hash, in.job_hash);
   EXPECT_EQ(out.worker_threads, in.worker_threads);
-  EXPECT_EQ(out.job_json, in.job_json);
 
   HelloAck ack_in{0x1234u, 4242};
   HelloAck ack_out;
@@ -399,21 +396,6 @@ TEST(ShardPool, EvaluatorExceptionsRethrowAtLowestBatchPosition) {
   EXPECT_EQ(ok.foms.size(), 4u);
 }
 
-TEST(ShardPool, RejectsJobHashMismatchInExecMode) {
-#ifdef XLDS_SHARD_WORKER_BIN
-  ShardConfig cfg;
-  cfg.shards = 1;
-  cfg.worker_threads = 1;
-  cfg.exec_path = XLDS_SHARD_WORKER_BIN;
-  cfg.application = "isolet-like";
-  cfg.job_hash = 0x1234;  // not what the worker will derive from the spec
-  cfg.job_json = "{\"application\":\"isolet-like\"}";
-  EXPECT_THROW(ShardPool pool(std::move(cfg)), PreconditionError);
-#else
-  GTEST_SKIP() << "worker binary path not compiled in";
-#endif
-}
-
 // ------------------------------------------------- engine-level acceptance
 
 dse::EngineConfig engine_config(std::uint64_t seed = 11) {
@@ -540,46 +522,6 @@ TEST(Acceptance, ShardsComposeWithJournalResume) {
   EXPECT_TRUE(same_results(dse::explore(clean), resumed));
 }
 
-// --------------------------------------------------------------- exec mode
-
-TEST(ExecMode, StandaloneWorkerBinaryMatchesForkMode) {
-#ifdef XLDS_SHARD_WORKER_BIN
-  // The engine's fork-mode path, versus a pool exec'ing the real worker
-  // binary with the engine's own job spec: the Hello JSON must carry enough
-  // for the fresh process to derive the same hash and the same FOMs.
-  dse::EngineConfig config = engine_config(31);
-  const dse::SearchSpace space(config.axes, config.application);
-  const dse::FidelityLadder ladder(config.fidelity, core::profile_for(config.application));
-
-  ShardConfig cfg;
-  cfg.shards = 2;
-  cfg.worker_threads = 1;
-  cfg.exec_path = XLDS_SHARD_WORKER_BIN;
-  cfg.application = config.application;
-  cfg.job_hash = dse::job_hash(space, ladder);
-  cfg.job_json = dse::shard_job_spec_text(config);
-  ShardPool pool(std::move(cfg));
-
-  std::vector<BatchItem> items;
-  for (std::size_t i = 0; i < space.size() && items.size() < 12; ++i) {
-    if (space.culled(i)) continue;
-    items.push_back({i, space.at(i)});
-  }
-  const BatchResult got =
-      pool.evaluate(items, static_cast<std::uint32_t>(dse::Fidelity::kNodal));
-  ASSERT_EQ(got.foms.size(), items.size());
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    const core::Fom want = ladder.evaluate(items[i].point, dse::Fidelity::kNodal);
-    EXPECT_EQ(got.foms[i].latency, want.latency) << i;
-    EXPECT_EQ(got.foms[i].energy, want.energy) << i;
-    EXPECT_EQ(got.foms[i].accuracy, want.accuracy) << i;
-    EXPECT_EQ(got.foms[i].note, want.note) << i;
-  }
-#else
-  GTEST_SKIP() << "worker binary path not compiled in";
-#endif
-}
-
 // ------------------------------------------------------------- env parsing
 
 TEST(Env, ParsePositiveCountIsStrict) {
@@ -606,14 +548,6 @@ TEST(Env, EnvHelpersWarnAndFallBack) {
   EXPECT_EQ(env_shard_count(), 1u);
   ::unsetenv("XLDS_SHARDS");
   EXPECT_EQ(env_shard_count(), 1u);
-
-  static const char* const kModes[] = {"steal", "static", nullptr};
-  ::setenv("XLDS_TEST_CHOICE", "static", 1);
-  EXPECT_EQ(util::env_choice("XLDS_TEST_CHOICE", kModes, "steal"), "static");
-  ::setenv("XLDS_TEST_CHOICE", "dynamic", 1);
-  EXPECT_EQ(util::env_choice("XLDS_TEST_CHOICE", kModes, "steal"), "steal");
-  ::unsetenv("XLDS_TEST_CHOICE");
-  EXPECT_EQ(util::env_choice("XLDS_TEST_CHOICE", kModes, "steal"), "steal");
 }
 
 // -------------------------------------------------------------- fork safety
