@@ -8,9 +8,9 @@
 //      ladder's own Monte-Carlo cost_estimate — does a 4-shard pool beat
 //      serial dispatch by >= 1.5x?  The batch is virtual-cost (each point
 //      *waits* its estimate instead of burning one shared core computing
-//      it), so the number measures what the pool controls — LPT dispatch,
-//      in-flight pipelining, steal-by-redispatch — and holds on the 1-core
-//      CI runner, where real CPU-bound work cannot overlap at all.
+//      it), so the number measures what the pool controls — LPT dispatch
+//      and in-flight pipelining — and holds on the 1-core CI runner, where
+//      real CPU-bound work cannot overlap at all.
 //   2. Reuse: a warm --cache rerun of a real MC job must be >= 10x faster
 //      than the cold run that populated it (every physics evaluation served
 //      from disk, zero recompute).

@@ -47,15 +47,15 @@ class Backend final : public EvaluationBackend {
  public:
   Backend(const SearchSpace& space, const FidelityLadder& ladder, std::size_t budget,
           const surrogate::SurrogateConfig& surrogate_config, Journal* journal,
-          std::size_t abort_after_computed, shard::ShardPool* pool, shard::ResultCache* cache,
-          std::uint64_t cache_space_hash)
+          std::size_t abort_after_computed, const shard::ShardConfig* shard_config,
+          shard::ResultCache* cache, std::uint64_t cache_space_hash)
       : space_(space),
         ladder_(ladder),
         budget_(budget),
         model_(surrogate_config),
         journal_(journal),
         abort_after_computed_(abort_after_computed),
-        pool_(pool),
+        shard_config_(shard_config),
         cache_(cache),
         cache_space_hash_(cache_space_hash) {
     if (journal_ != nullptr)
@@ -145,11 +145,14 @@ class Backend final : public EvaluationBackend {
     // thread pool) for whatever remains.  The FOM of a (point, tier) pair is
     // a pure function of the job and cached values are stored bit-exactly,
     // so neither the cache state nor the shard layout can change values,
-    // only wall clock.  Dispatch is cost-aware: longest-processing-time-
-    // first by the ladder's charge estimate, so the expensive points (MC
-    // probes, first nodal solves) enter the scheduler ahead of the cheap
-    // tail and idle lanes (or shards) steal the tail behind them.  Results
-    // land in original-order slots and the memo/journal loop below walks
+    // only wall clock.  The job's first dispatch is preceded by
+    // FidelityLadder::prime, which builds the shared rung memos (MC probe,
+    // per-device nodal tiles) once at full pool width, and only then is the
+    // shard pool forked, so its workers inherit those memos.  Dispatch is
+    // longest-processing-time-first by the ladder's charge estimate, so the
+    // heavy points enter the scheduler ahead of the cheap tail and idle
+    // lanes (or shards) take the tail behind them.  Results land in
+    // original-order slots and the memo/journal loop below walks
     // `to_compute` order, so every journal byte is placement-, shard- and
     // cache-invariant.
     if (!to_compute.empty()) {
@@ -178,7 +181,12 @@ class Backend final : public EvaluationBackend {
       } else {
         pending = order;
       }
-      if (!pending.empty() && pool_ != nullptr) {
+      if (!pending.empty() && !primed_) {
+        primed_ = true;
+        ladder_.prime(space_);
+        if (shard_config_ != nullptr) pool_.emplace(*shard_config_);
+      }
+      if (!pending.empty() && pool_) {
         std::vector<shard::BatchItem> items;
         items.reserve(pending.size());
         for (const std::size_t j : pending)
@@ -272,6 +280,9 @@ class Backend final : public EvaluationBackend {
     return memo_.at(pair_key(index, tier));
   }
   const surrogate::SurrogateModel& model() const { return model_; }
+  /// The shard pool, or nullptr when the job is in-process or never
+  /// dispatched a computation.
+  const shard::ShardPool* pool() const { return pool_ ? &*pool_ : nullptr; }
   std::array<double, kFidelityTiers> tier_busy_seconds() const {
     std::array<double, kFidelityTiers> s{};
     for (std::size_t t = 0; t < kFidelityTiers; ++t)
@@ -383,7 +394,9 @@ class Backend final : public EvaluationBackend {
   std::vector<std::pair<std::size_t, Fidelity>> charge_order_;
   std::unordered_map<std::uint64_t, core::Fom> memo_;
   std::unordered_map<std::size_t, double> uncertainty_;
-  shard::ShardPool* pool_;
+  const shard::ShardConfig* shard_config_;  ///< nullptr = in-process
+  bool primed_ = false;
+  std::optional<shard::ShardPool> pool_;  ///< forked right after priming
   shard::ResultCache* cache_;
   std::uint64_t cache_space_hash_;
   ExplorationStats stats_;
@@ -421,12 +434,14 @@ ExplorationResult explore(const EngineConfig& config) {
     cache_space_hash = ladder.hash(util::fnv1a64("xlds-cache-v1", 13));
   }
 
-  // The shard pool: forked evaluation workers sharing the parent's ladder by
-  // inheritance.  shards == 1 means in-process (no fork at all).
+  // The shard pool's config: forked evaluation workers sharing the parent's
+  // ladder (and its primed memos) by inheritance.  The backend forks them at
+  // the job's first computation, so a job served entirely from its journal
+  // or the cache never forks.  shards == 1 means in-process.
   const std::size_t shards = config.shards != 0 ? config.shards : shard::env_shard_count();
-  std::optional<shard::ShardPool> pool;
+  std::optional<shard::ShardConfig> shard_config;
   if (shards > 1) {
-    shard::ShardConfig sc;
+    shard::ShardConfig& sc = shard_config.emplace();
     sc.shards = shards;
     sc.job_hash = job_hash(space, ladder);
     sc.application = config.application;
@@ -434,11 +449,10 @@ ExplorationResult explore(const EngineConfig& config) {
       return ladder.evaluate(p, static_cast<Fidelity>(tier));
     };
     sc.kill_worker_after_results = config.kill_shard_worker_after;
-    pool.emplace(std::move(sc));
   }
 
   Backend backend(space, ladder, budget, config.surrogate, journal ? &*journal : nullptr,
-                  config.abort_after_computed, pool ? &*pool : nullptr,
+                  config.abort_after_computed, shard_config ? &*shard_config : nullptr,
                   cache ? &*cache : nullptr, cache_space_hash);
   const std::unique_ptr<SearchDriver> driver = make_driver(config.strategy, config.driver);
   // The driver stream is forked off the job seed so future engine-level
@@ -506,10 +520,9 @@ ExplorationResult explore(const EngineConfig& config) {
     result.stats.journal_replayed = journal->open_info().replayed;
     result.stats.journal_dropped_bytes = journal->open_info().dropped_bytes;
   }
-  result.stats.shards_used = pool ? pool->shards() : 1;
-  if (pool) {
+  result.stats.shards_used = shards;
+  if (const shard::ShardPool* pool = backend.pool()) {
     result.stats.shard_requests = pool->stats().requests;
-    result.stats.shard_redispatches = pool->stats().redispatches;
     result.stats.shard_respawns = pool->stats().respawns;
   }
   return result;

@@ -86,8 +86,8 @@ struct ExplorationStats {
   // Shard-pool + persistent-cache accounting.  Speed-only diagnostics, like
   // `nodal` below: none of these influence any value or search decision.
   std::size_t shards_used = 1;          ///< evaluation processes (1 = in-process)
-  std::size_t shard_requests = 0;       ///< wire requests dispatched (incl. duplicates)
-  std::size_t shard_redispatches = 0;   ///< steal-by-redispatch duplicates
+  std::size_t shard_requests = 0;       ///< wire requests dispatched
+  std::size_t shard_redispatches = 0;   ///< always 0; kept only because perfbench reads it
   std::size_t shard_respawns = 0;       ///< workers respawned after dying
   std::size_t cache_hits = 0;           ///< pairs served from the persistent cache
   std::size_t cache_appends = 0;        ///< pairs appended to the persistent cache

@@ -39,6 +39,8 @@
 
 namespace xlds::dse {
 
+class SearchSpace;
+
 enum class Fidelity : std::uint32_t {
   kSurrogate = 0,
   kAnalytic = 1,
@@ -89,6 +91,15 @@ class FidelityLadder {
   /// of (p, tier) for a fixed ladder; results are thread-count independent.
   /// PreconditionError on kSurrogate — that tier has no physics to run.
   core::Fom evaluate(const core::DesignPoint& p, Fidelity tier) const;
+
+  /// Build, in one parallel_for at the pool's full width, every process-wide
+  /// memo value evaluate() can reach on `space`'s structurally viable points:
+  /// the nodal IR-drop error of each device with a crossbar point (max tier
+  /// >= kNodal) and the resilience probe (max tier kMonteCarlo, some
+  /// in-memory HDC or MANN point).  Speed-only: a memo value is a pure
+  /// function of its key.  A value whose build throws is left unpublished,
+  /// so the point that needs it throws where it would have without priming.
+  void prime(const SearchSpace& space) const;
 
   /// Relative wall-cost estimate of evaluate(p, tier), in analytic-tier
   /// units.  A scheduling heuristic only (the engine sorts batches

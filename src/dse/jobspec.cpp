@@ -244,7 +244,6 @@ util::Json result_to_json(const ExplorationResult& result, bool include_stats) {
     util::Json shard = util::Json::object();
     shard.set("shards", s.shards_used);
     shard.set("requests", s.shard_requests);
-    shard.set("redispatches", s.shard_redispatches);
     shard.set("respawns", s.shard_respawns);
     stats.set("shard", std::move(shard));
     util::Json cache = util::Json::object();

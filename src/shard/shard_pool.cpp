@@ -2,14 +2,16 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
+#include <deque>
+#include <unordered_map>
 #include <utility>
 
 #include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
-#include <time.h>
 #include <unistd.h>
 
 #include "util/env.hpp"
@@ -31,20 +33,18 @@ namespace xlds::shard {
 
 std::size_t env_shard_count() { return util::env_positive_count("XLDS_SHARDS", 1); }
 
+namespace {
+
 /// Per-batch dispatch unit: a contiguous run of the caller's (LPT-ordered)
-/// items.  `live_dispatches` counts copies in flight at live workers — a
-/// group is re-queued after a worker death only when it reaches zero, because
-/// a surviving duplicate will still deliver the identical bytes.
-struct ShardPool::Group {
+/// items, in flight at no more than one worker at a time.
+struct Group {
   std::size_t begin = 0;
   std::size_t end = 0;
-  bool done = false;
   bool failed = false;
   std::string error;
-  bool queued = false;
-  std::size_t live_dispatches = 0;
-  std::vector<std::size_t> dispatched_to;  ///< worker slots ever handed this group
 };
+
+}  // namespace
 
 ShardPool::ShardPool(ShardConfig config) : cfg_(std::move(config)) {
   XLDS_REQUIRE_MSG(cfg_.shards >= 1, "a shard pool needs at least one worker");
@@ -57,97 +57,132 @@ ShardPool::ShardPool(ShardConfig config) : cfg_(std::move(config)) {
   cfg_.worker_threads = 1;
 #endif
   workers_.resize(cfg_.shards);
-  for (std::size_t slot = 0; slot < workers_.size(); ++slot) spawn(slot);
+  // A throwing constructor never reaches the destructor, so reap here.
+  try {
+    spawn(0, workers_.size());
+  } catch (...) {
+    shutdown_all();
+    throw;
+  }
 }
 
-ShardPool::~ShardPool() {
-  for (Worker& w : workers_) shutdown_worker(w, /*send_shutdown=*/true);
-}
+ShardPool::~ShardPool() { shutdown_all(); }
 
-void ShardPool::spawn(std::size_t slot) {
-  Worker& w = workers_[slot];
-  int sv[2];
-  XLDS_REQUIRE_MSG(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) == 0,
-                   "socketpair failed: " << std::strerror(errno));
-
+void ShardPool::spawn(std::size_t first, std::size_t last) {
   parallel_quiesce_for_fork();
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    ::close(sv[0]);
+  for (std::size_t slot = first; slot < last; ++slot) {
+    Worker& w = workers_[slot];
+    int sv[2];
+    XLDS_REQUIRE_MSG(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) == 0,
+                     "socketpair failed: " << std::strerror(errno));
+    const pid_t pid = ::fork();
+    if (pid < 0) {
+      ::close(sv[0]);
+      ::close(sv[1]);
+      XLDS_REQUIRE_MSG(false, "fork failed: " << std::strerror(errno));
+    }
+    if (pid == 0) {
+      // Child: keep only our end of our own channel; the parent-side fds of
+      // sibling workers must not survive into this process, or a sibling's
+      // death would never surface as EOF at the parent.
+      ::close(sv[0]);
+      for (const Worker& other : workers_)
+        if (other.fd >= 0) ::close(other.fd);
+      int code = 20;  // an escaping exception must never unwind into the parent's code
+      try {
+        WorkerJob job;
+        job.application = cfg_.application;
+        job.evaluate = cfg_.evaluator;
+        code = serve_worker(sv[1], job);
+      } catch (...) {
+      }
+      ::_exit(code);
+    }
     ::close(sv[1]);
-    XLDS_REQUIRE_MSG(false, "fork failed: " << std::strerror(errno));
+    w.fd = sv[0];
+    w.pid = pid;
+    w.alive = true;
+    w.outstanding.clear();
   }
 
-  if (pid == 0) {
-    // Child: keep only our end of our own channel; the parent-side fds of
-    // sibling workers must not survive into this process, or a sibling's
-    // death would never surface as EOF at the parent.
-    ::close(sv[0]);
-    for (const Worker& other : workers_)
-      if (other.fd >= 0) ::close(other.fd);
-    WorkerJob job;
-    job.application = cfg_.application;
-    job.evaluate = cfg_.evaluator;
-    ::_exit(serve_worker(sv[1], job));
-  }
-
-  // Parent.
-  ::close(sv[1]);
-  w.fd = sv[0];
-  w.pid = pid;
-  w.alive = true;
-  w.outstanding.clear();
-
+  // Every Hello goes out before any ack is read, so the workers start up
+  // side by side.  A Hello to a worker that already died fails its ack read.
   Hello hello;
   hello.job_hash = cfg_.job_hash;
   hello.worker_threads = static_cast<std::uint32_t>(cfg_.worker_threads);
+  const std::string hello_frame = encode_hello(hello);
+  for (std::size_t slot = first; slot < last; ++slot) write_frame(workers_[slot].fd, hello_frame);
 
   std::string body;
-  HelloAck ack;
-  const bool ok = write_frame(w.fd, encode_hello(hello)) &&
-                  read_frame(w.fd, body) == ReadStatus::kOk && decode_hello_ack(body, ack);
-  if (!ok) {
-    shutdown_worker(w, /*send_shutdown=*/false);
-    XLDS_REQUIRE_MSG(false, "shard worker " << slot << " died during the handshake");
-  }
-  if (ack.job_hash != cfg_.job_hash) {
-    shutdown_worker(w, /*send_shutdown=*/false);
+  for (std::size_t slot = first; slot < last; ++slot) {
+    Worker& w = workers_[slot];
+    HelloAck ack;
+    const bool ok = read_frame(w.fd, body) == ReadStatus::kOk && decode_hello_ack(body, ack);
+    if (ok && ack.job_hash == cfg_.job_hash) continue;
+    kill_worker(w);
+    XLDS_REQUIRE_MSG(ok, "shard worker " << slot << " died during the handshake");
     XLDS_REQUIRE_MSG(false, "shard worker " << slot << " acked job hash " << std::hex
                                             << ack.job_hash << ", parent has " << cfg_.job_hash);
   }
 }
 
-void ShardPool::shutdown_worker(Worker& w, bool send_shutdown) {
-  if (w.fd >= 0) {
-    if (send_shutdown && w.alive) write_frame(w.fd, encode_shutdown());
-    ::close(w.fd);
-    w.fd = -1;
-  }
+void ShardPool::kill_worker(Worker& w) {
+  if (w.fd >= 0) ::close(w.fd);
+  w.fd = -1;
   if (w.pid > 0) {
-    // Grace period: the worker exits on Shutdown (or on EOF from the close
-    // above) once it drains any in-flight duplicate requests.
-    for (int i = 0; i < 500 && w.pid > 0; ++i) {
-      const pid_t r = ::waitpid(w.pid, nullptr, WNOHANG);
-      if (r != 0) w.pid = -1;
-      if (w.pid > 0) {
-        const struct timespec ts = {0, 10 * 1000 * 1000};
-        ::nanosleep(&ts, nullptr);
-      }
+    ::kill(w.pid, SIGKILL);
+    ::waitpid(w.pid, nullptr, 0);
+  }
+  w.pid = -1;
+  w.alive = false;
+  w.outstanding.clear();
+}
+
+void ShardPool::shutdown_all() noexcept {
+  // Shutdown goes to every live worker before any is waited on.  A worker
+  // exits on it once its current request is done (one still waiting for its
+  // Hello exits on the unexpected frame), and its socket then reads EOF.
+  const std::string shutdown = encode_shutdown();
+  for (const Worker& w : workers_)
+    if (w.alive) write_frame(w.fd, shutdown);
+
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  std::vector<struct pollfd> fds;
+  std::vector<Worker*> fd_workers;
+  char sink[4096];
+  for (;;) {
+    fds.clear();
+    fd_workers.clear();
+    for (Worker& w : workers_) {
+      if (w.fd < 0) continue;
+      fds.push_back({w.fd, POLLIN, 0});
+      fd_workers.push_back(&w);
     }
-    if (w.pid > 0) {
-      ::kill(w.pid, SIGKILL);
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                          deadline - std::chrono::steady_clock::now())
+                          .count();
+    if (fds.empty() || left <= 0) break;
+    if (::poll(fds.data(), static_cast<nfds_t>(fds.size()), static_cast<int>(left)) < 0 &&
+        errno != EINTR)
+      break;
+    for (std::size_t i = 0; i < fds.size(); ++i) {
+      if (fds[i].revents == 0) continue;
+      const ssize_t r = ::read(fds[i].fd, sink, sizeof sink);
+      if (r > 0 || (r < 0 && errno == EINTR)) continue;  // a late reply: drop it
+      Worker& w = *fd_workers[i];  // EOF: the worker has exited
+      ::close(w.fd);
+      w.fd = -1;
       ::waitpid(w.pid, nullptr, 0);
       w.pid = -1;
     }
   }
-  w.alive = false;
+  for (Worker& w : workers_) kill_worker(w);  // whatever the deadline left; marks all dead
 }
 
 BatchResult ShardPool::evaluate(const std::vector<BatchItem>& items, std::uint32_t tier) {
   BatchResult out;
   out.foms.resize(items.size());
   if (items.empty()) return out;
-  ++batch_generation_;
 
   // Group size: aim for ~4 groups per worker so the tail stays short, capped
   // so a request's results always fit comfortably in the socket buffer.
@@ -165,24 +200,16 @@ BatchResult ShardPool::evaluate(const std::vector<BatchItem>& items, std::uint32
   }
 
   std::deque<std::size_t> pending;
-  for (std::size_t gid = 0; gid < groups.size(); ++gid) {
-    pending.push_back(gid);
-    groups[gid].queued = true;
-  }
+  for (std::size_t gid = 0; gid < groups.size(); ++gid) pending.push_back(gid);
+  // Request id -> group.  A reply whose id is missing answers a request of an
+  // earlier batch that threw before the reply arrived; it is dropped.
+  std::unordered_map<std::uint64_t, std::size_t> group_of;
   std::size_t done_groups = 0;
   std::size_t merged_points = 0;
 
-  const auto enqueue_front = [&](std::size_t gid) {
-    Group& g = groups[gid];
-    if (!g.done && !g.queued && g.live_dispatches == 0) {
-      pending.push_front(gid);
-      g.queued = true;
-    }
-  };
-
   const auto send_group = [&](std::size_t slot, std::size_t gid) -> bool {
     Worker& w = workers_[slot];
-    Group& g = groups[gid];
+    const Group& g = groups[gid];
     EvalRequest req;
     req.request_id = next_request_id_++;
     req.tier = tier;
@@ -197,84 +224,28 @@ BatchResult ShardPool::evaluate(const std::vector<BatchItem>& items, std::uint32
     }
     if (!write_frame(w.fd, encode_eval_request(req))) return false;
     w.outstanding.push_back(req.request_id);
-    request_group_[req.request_id] = {batch_generation_, gid};
-    ++g.live_dispatches;
-    g.dispatched_to.push_back(slot);
+    group_of[req.request_id] = gid;
     ++stats_.requests;
     stats_.points += g.end - g.begin;
     return true;
   };
 
-  // handle_death / top_up recurse through each other (a failed send while
-  // topping up is a death; a respawn wants an immediate top-up), hence the
-  // std::function forward declaration.
-  std::function<void(std::size_t)> handle_death;
-
-  const auto top_up = [&](std::size_t slot) {
-    while (workers_[slot].alive &&
-           workers_[slot].outstanding.size() < cfg_.inflight_per_worker && !pending.empty()) {
-      const std::size_t gid = pending.front();
-      pending.pop_front();
-      groups[gid].queued = false;
-      if (groups[gid].done) continue;
-      if (!send_group(slot, gid)) {
-        enqueue_front(gid);
-        handle_death(slot);
-        return;
-      }
-    }
-  };
-
-  // Steal by redispatch: an idle worker with nothing pending duplicates the
-  // in-flight group with the fewest live copies that it has never been
-  // handed itself.  First result wins; duplicates are bit-identical.
-  const auto try_steal = [&](std::size_t slot) {
-    Worker& w = workers_[slot];
-    if (!w.alive || !w.outstanding.empty() || !pending.empty()) return;
-    std::size_t best = SIZE_MAX;
-    std::size_t best_copies = SIZE_MAX;
-    for (std::size_t gid = 0; gid < groups.size(); ++gid) {
-      const Group& g = groups[gid];
-      if (g.done || g.live_dispatches == 0 || g.live_dispatches >= best_copies) continue;
-      if (std::find(g.dispatched_to.begin(), g.dispatched_to.end(), slot) !=
-          g.dispatched_to.end())
-        continue;
-      best = gid;
-      best_copies = g.live_dispatches;
-    }
-    if (best == SIZE_MAX) return;
-    ++stats_.redispatches;
-    if (!send_group(slot, best)) handle_death(slot);
-  };
-
-  handle_death = [&](std::size_t slot) {
+  const auto handle_death = [&](std::size_t slot) {
     Worker& w = workers_[slot];
     if (!w.alive) return;
-    w.alive = false;
-    ::close(w.fd);
-    w.fd = -1;
-    if (w.pid > 0) {
-      ::kill(w.pid, SIGKILL);  // a write-side failure can leave it running
-      ::waitpid(w.pid, nullptr, 0);
-      w.pid = -1;
-    }
     // Re-queue its unacknowledged groups *ahead* of pending work, preserving
-    // their dispatch order (reverse iteration + push_front), unless a
-    // duplicate is still alive elsewhere.
+    // their dispatch order (reverse iteration + push_front).
     for (auto it = w.outstanding.rbegin(); it != w.outstanding.rend(); ++it) {
-      const auto entry = request_group_.find(*it);
-      if (entry == request_group_.end()) continue;
-      const auto [gen, gid] = entry->second;
-      request_group_.erase(entry);
-      if (gen != batch_generation_) continue;
-      --groups[gid].live_dispatches;
-      enqueue_front(gid);
+      const auto entry = group_of.find(*it);
+      if (entry == group_of.end()) continue;
+      pending.push_front(entry->second);
+      group_of.erase(entry);
     }
-    w.outstanding.clear();
+    kill_worker(w);  // a write-side failure can leave it running
 
     if (stats_.respawns < cfg_.max_respawns) {
       ++stats_.respawns;
-      spawn(slot);  // throws if the respawn handshake fails
+      spawn(slot, slot + 1);  // throws if the respawn handshake fails
       return;
     }
     bool any_alive = false;
@@ -283,9 +254,28 @@ BatchResult ShardPool::evaluate(const std::vector<BatchItem>& items, std::uint32
                                     << cfg_.max_respawns << " exhausted)");
   };
 
-  const auto ack_request = [&](Worker& w, std::uint64_t rid) {
+  const auto top_up = [&](std::size_t slot) {
+    while (workers_[slot].alive &&
+           workers_[slot].outstanding.size() < cfg_.inflight_per_worker && !pending.empty()) {
+      const std::size_t gid = pending.front();
+      pending.pop_front();
+      if (!send_group(slot, gid)) {
+        pending.push_front(gid);
+        handle_death(slot);
+        return;
+      }
+    }
+  };
+
+  // The group a reply answers, or SIZE_MAX for a stale reply.
+  const auto take_reply = [&](Worker& w, std::uint64_t rid) {
     const auto it = std::find(w.outstanding.begin(), w.outstanding.end(), rid);
     if (it != w.outstanding.end()) w.outstanding.erase(it);
+    const auto entry = group_of.find(rid);
+    if (entry == group_of.end()) return SIZE_MAX;
+    const std::size_t gid = entry->second;
+    group_of.erase(entry);
+    return gid;
   };
 
   const auto fire_kill_hook = [&] {
@@ -294,7 +284,7 @@ BatchResult ShardPool::evaluate(const std::vector<BatchItem>& items, std::uint32
       return;
     kill_hook_fired_ = true;
     // Prefer a worker that still has work in flight so the recovery path
-    // (re-queue + respawn + redispatch) is actually exercised.
+    // (re-queue + respawn) is actually exercised.
     std::size_t victim = SIZE_MAX;
     for (std::size_t slot = 0; slot < workers_.size(); ++slot) {
       if (!workers_[slot].alive) continue;
@@ -315,8 +305,6 @@ BatchResult ShardPool::evaluate(const std::vector<BatchItem>& items, std::uint32
   std::vector<std::size_t> fd_slots;
   while (done_groups < groups.size()) {
     for (std::size_t slot = 0; slot < workers_.size(); ++slot) top_up(slot);
-    for (std::size_t slot = 0; slot < workers_.size(); ++slot) try_steal(slot);
-    if (done_groups >= groups.size()) break;
 
     fds.clear();
     fd_slots.clear();
@@ -356,18 +344,12 @@ BatchResult ShardPool::evaluate(const std::vector<BatchItem>& items, std::uint32
           handle_death(slot);
           continue;
         }
-        ack_request(w, res.request_id);
-        const auto entry = request_group_.find(res.request_id);
-        if (entry == request_group_.end()) continue;  // stale duplicate
-        const auto [gen, gid] = entry->second;
-        request_group_.erase(entry);
-        if (gen != batch_generation_) continue;
+        const std::size_t gid = take_reply(w, res.request_id);
+        if (gid == SIZE_MAX) continue;
         Group& g = groups[gid];
-        --g.live_dispatches;
-        if (g.done) continue;  // a duplicate already delivered these bytes
         if (res.tier != tier || res.foms.size() != g.end - g.begin) {
           handle_death(slot);  // protocol violation: distrust the worker
-          enqueue_front(gid);
+          pending.push_front(gid);
           continue;
         }
         for (std::size_t k = 0; k < res.foms.size(); ++k)
@@ -389,7 +371,6 @@ BatchResult ShardPool::evaluate(const std::vector<BatchItem>& items, std::uint32
         sd.steal_failures += res.sched.steal_failures;
         sd.nested_cooperative += res.sched.nested_cooperative;
         sd.nested_inlined += res.sched.nested_inlined;
-        g.done = true;
         ++done_groups;
         merged_points += g.end - g.begin;
         fire_kill_hook();
@@ -399,18 +380,10 @@ BatchResult ShardPool::evaluate(const std::vector<BatchItem>& items, std::uint32
           handle_death(slot);
           continue;
         }
-        ack_request(w, errm.request_id);
-        const auto entry = request_group_.find(errm.request_id);
-        if (entry == request_group_.end()) continue;
-        const auto [gen, gid] = entry->second;
-        request_group_.erase(entry);
-        if (gen != batch_generation_) continue;
-        Group& g = groups[gid];
-        --g.live_dispatches;
-        if (g.done) continue;
-        g.done = true;
-        g.failed = true;
-        g.error = errm.message;
+        const std::size_t gid = take_reply(w, errm.request_id);
+        if (gid == SIZE_MAX) continue;
+        groups[gid].failed = true;
+        groups[gid].error = errm.message;
         ++done_groups;
       } else {
         handle_death(slot);  // a worker must only send results and errors
@@ -422,12 +395,9 @@ BatchResult ShardPool::evaluate(const std::vector<BatchItem>& items, std::uint32
   // lowest-chunk-wins rule, the failure at the lowest batch position is the
   // one the caller sees (evaluator exceptions are XLDS_REQUIRE-style
   // precondition failures, so the type is preserved across the wire).
-  const Group* first_failed = nullptr;
+  // Groups are in batch order, so the first failed one is the lowest.
   for (const Group& g : groups)
-    if (g.failed && (first_failed == nullptr || g.begin < first_failed->begin))
-      first_failed = &g;
-  if (first_failed != nullptr) throw PreconditionError(first_failed->error);
-
+    if (g.failed) throw PreconditionError(g.error);
   return out;
 }
 

@@ -1,10 +1,10 @@
 // Multi-process evaluation shard pool.
 //
-// Why processes and not just the in-process thread pool: the heavy fidelity
-// tiers sit on top of memoized per-device caches (IR-drop envelopes, Monte
-// Carlo probe curves) guarded by mutexes that serialise first-touch, and a
-// single address space caps the useful width at one machine's cores anyway.
-// Forked shards give each worker its own cache arena and scheduler.
+// Why processes and not just the in-process thread pool: a single address
+// space caps the useful width at one machine's cores, and each forked worker
+// gets its own scheduler and, by inheritance, a copy of every memo the parent
+// built before the fork (the engine primes the ladder's shared rungs first,
+// so no worker rebuilds them).
 //
 // Determinism contract (inherits the journal's): sharding changes *where* a
 // point is priced, never *what* it evaluates to.  The pool guarantees the
@@ -13,19 +13,27 @@
 //
 //   1. the caller hands the batch already sorted (the engine's LPT order) and
 //      results are merged back by batch position, not by arrival time;
-//   2. every worker runs the same pure evaluator, so a request dispatched
-//      twice — work stealing below is *steal by redispatch* — returns
-//      bit-identical bytes whichever copy lands first;
+//   2. every worker runs the same pure evaluator, so which worker prices a
+//      group never changes its bytes; a group is in flight at one worker at
+//      a time and is sent again only if that worker dies first;
 //   3. a SIGKILLed worker only loses un-acknowledged requests, which are
 //      re-queued ahead of pending work and charged once by the engine's
 //      first-request ledger rule exactly as if the crash never happened.
 //
 // Dispatch: the batch is cut into contiguous groups of at most
 // `max_points_per_request` points; each worker keeps up to
-// `inflight_per_worker` requests in flight (so the socket hides latency).
-// When the queue drains, an idle worker is handed a *duplicate* of the
-// in-flight group with the fewest copies — the slow-shard tail shrinks to
-// one group's cost without any result ever depending on who won.
+// `inflight_per_worker` requests in flight (so the socket hides latency) and
+// takes the next pending group when a reply frees a slot.  Each group is
+// sent once.  So a hung worker (alive, never answering) stalls its batch:
+// the pool polls without a timeout.  Idle workers used to re-run in-flight
+// groups, which hid a hang; the fix is the per-request deadline that
+// ROADMAP.md plans (item 5): kill and respawn the worker, re-queue its groups.
+//
+// Lifecycle: the constructor forks every worker, then sends every Hello,
+// then reads every ack, and reaps every forked worker before it rethrows a
+// failure.  The destructor sends Shutdown to every live worker before it
+// waits on any, waits for each socket to read EOF against one shared 5 s
+// deadline, then SIGKILLs and reaps whatever is left.
 //
 // Fork safety: every spawn calls parallel_quiesce_for_fork() first (see
 // util/parallel.hpp for the contract), so the child is born single-threaded
@@ -33,9 +41,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include <sys/types.h>
@@ -70,10 +76,9 @@ struct ShardConfig {
 };
 
 struct ShardStats {
-  std::size_t requests = 0;      ///< EvalRequests dispatched (incl. duplicates)
-  std::size_t points = 0;        ///< points dispatched (incl. duplicates)
-  std::size_t redispatches = 0;  ///< steal-by-redispatch duplicates issued
-  std::size_t respawns = 0;      ///< workers respawned after dying
+  std::size_t requests = 0;  ///< EvalRequests dispatched (incl. re-sends after a death)
+  std::size_t points = 0;    ///< points dispatched (incl. re-sends after a death)
+  std::size_t respawns = 0;  ///< workers respawned after dying
 };
 
 struct BatchItem {
@@ -90,11 +95,12 @@ struct BatchResult {
 
 class ShardPool {
  public:
-  /// Spawns and handshakes every worker; throws if any worker acks the wrong
-  /// job hash or dies during the handshake.
+  /// Spawns and handshakes every worker; throws, with every forked worker
+  /// reaped, if any worker acks the wrong job hash or dies during the
+  /// handshake.
   explicit ShardPool(ShardConfig config);
 
-  /// Sends Shutdown, waits briefly, SIGKILLs stragglers.
+  /// Shuts every worker down and reaps it (see Lifecycle above).
   ~ShardPool();
 
   ShardPool(const ShardPool&) = delete;
@@ -105,9 +111,7 @@ class ShardPool {
   /// passes LPT order); foms come back aligned with it.  If any point's
   /// evaluation threw in a worker, rethrows the failure at the lowest batch
   /// position after the batch completes — matching the in-process
-  /// lowest-chunk-wins rule.  Duplicate results from redispatched requests
-  /// are bit-identical, so whichever arrives first is merged and the rest
-  /// are dropped.
+  /// lowest-chunk-wins rule.
   BatchResult evaluate(const std::vector<BatchItem>& items, std::uint32_t tier);
 
   std::size_t shards() const noexcept { return workers_.size(); }
@@ -121,19 +125,17 @@ class ShardPool {
     std::vector<std::uint64_t> outstanding;  ///< request ids awaiting a reply
   };
 
-  struct Group;  // per-batch dispatch unit (defined in the .cpp)
-
-  void spawn(std::size_t slot);
-  void shutdown_worker(Worker& w, bool send_shutdown);
+  /// Fork workers [first, last), then send every Hello, then read every
+  /// ack; a worker that fails its handshake is killed and reaped, and throws.
+  void spawn(std::size_t first, std::size_t last);
+  /// Close, SIGKILL and reap one worker.
+  void kill_worker(Worker& w);
+  void shutdown_all() noexcept;
 
   ShardConfig cfg_;
   std::vector<Worker> workers_;
   ShardStats stats_;
   std::uint64_t next_request_id_ = 1;
-  /// request id -> (batch generation, group index); stale entries from
-  /// duplicate requests that outlived their batch are dropped on arrival.
-  std::unordered_map<std::uint64_t, std::pair<std::uint64_t, std::size_t>> request_group_;
-  std::uint64_t batch_generation_ = 0;
   bool kill_hook_fired_ = false;
 };
 

@@ -7,6 +7,7 @@
 // results bit-identical to the in-process run.
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
@@ -17,9 +18,13 @@
 #include <vector>
 
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include "core/evaluate.hpp"
 #include "dse/engine.hpp"
+#include "dse/jobspec.hpp"
+#include "fault/resilience.hpp"
 #include "shard/protocol.hpp"
 #include "shard/result_cache.hpp"
 #include "shard/shard_pool.hpp"
@@ -396,6 +401,36 @@ TEST(ShardPool, EvaluatorExceptionsRethrowAtLowestBatchPosition) {
   EXPECT_EQ(ok.foms.size(), 4u);
 }
 
+TEST(ShardPool, SendsEachGroupOnce) {
+  ShardConfig cfg = synth_config(3);
+  cfg.max_points_per_request = 2;
+  const std::vector<BatchItem> items = synth_batch(24);  // 12 groups of 2
+  // One slow point keeps its group in flight while the other workers drain
+  // the queue and go idle; none of them may take a copy of that group.
+  const std::string slow = items.front().point.to_string();
+  cfg.evaluator = [slow](const core::DesignPoint& p, std::uint32_t tier) {
+    if (p.to_string() == slow) std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    return synth_eval(p, tier);
+  };
+  ShardPool pool(std::move(cfg));
+  const BatchResult got = pool.evaluate(items, 2);
+  ASSERT_EQ(got.foms.size(), items.size());
+  for (std::size_t i = 0; i < items.size(); ++i)
+    EXPECT_EQ(got.foms[i].note, synth_eval(items[i].point, 2).note) << i;
+  EXPECT_EQ(pool.stats().requests, 12u);
+  EXPECT_EQ(pool.stats().points, items.size());
+}
+
+TEST(ShardPool, DestructorReapsEveryWorker) {
+  {
+    ShardPool pool(synth_config(4));
+    EXPECT_EQ(pool.evaluate(synth_batch(16), 1).foms.size(), 16u);
+  }
+  errno = 0;
+  EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD);
+}
+
 // ------------------------------------------------- engine-level acceptance
 
 dse::EngineConfig engine_config(std::uint64_t seed = 11) {
@@ -520,6 +555,67 @@ TEST(Acceptance, ShardsComposeWithJournalResume) {
   dse::EngineConfig clean = engine_config(29);
   clean.shards = 1;
   EXPECT_TRUE(same_results(dse::explore(clean), resumed));
+}
+
+/// The CI dse-smoke job: NSGA-II over the full grid up to the MC tier.
+dse::EngineConfig ci_mc_job() {
+  return dse::config_from_spec_text(
+      R"({"strategy": "nsga2", "budget": 60, "seed": 7, "fidelity": {"max": "mc"}})");
+}
+
+void clear_all_memo_layers() {
+  dse::clear_fidelity_caches();
+  core::clear_evaluation_caches();
+  fault::clear_resilience_caches();
+}
+
+std::string no_stats_json(const dse::ExplorationResult& r) {
+  return dse::result_to_json(r, /*include_stats=*/false).dump(2);
+}
+
+TEST(Acceptance, RepeatedShardedJobRebuildsNoRung) {
+  TempPath j_inproc("rung_inproc");
+  TempPath j_first("rung_first");
+  TempPath j_second("rung_second");
+
+  clear_all_memo_layers();
+  dse::EngineConfig config = ci_mc_job();
+  config.journal_path = j_inproc.str();
+  const dse::ExplorationResult inproc = dse::explore(config);
+
+  // The parent primes every shared rung before it forks, so the first job's
+  // workers inherit the tiles and the second job rebuilds nothing at all.
+  clear_all_memo_layers();
+  config.shards = 4;
+  config.journal_path = j_first.str();
+  const dse::ExplorationResult first = dse::explore(config);
+  config.journal_path = j_second.str();
+  const dse::ExplorationResult second = dse::explore(config);
+
+  // FeFET, RRAM and PCM are the full grid's crossbar devices.
+  EXPECT_EQ(first.stats.nodal.factorizations, 3u);
+  EXPECT_EQ(second.stats.nodal.factorizations, 0u);
+  EXPECT_EQ(no_stats_json(first), no_stats_json(inproc));
+  EXPECT_EQ(no_stats_json(second), no_stats_json(inproc));
+  EXPECT_EQ(read_bytes(j_first.str()), read_bytes(j_inproc.str()));
+  EXPECT_EQ(read_bytes(j_second.str()), read_bytes(j_inproc.str()));
+}
+
+TEST(Acceptance, FullyCachedRerunPrimesNothing) {
+  TempPath cache("primes_nothing");
+  dse::EngineConfig config = ci_mc_job();
+  config.cache_path = cache.str();
+  ASSERT_GT(dse::explore(config).stats.computed, 0u);
+
+  // Priming is lazy: a rerun the cache serves whole builds no rung.
+  clear_all_memo_layers();
+  const std::size_t lookups = fault::resilience_cache_stats().lookups;
+  config.shards = 2;
+  const dse::ExplorationResult warm = dse::explore(config);
+  EXPECT_EQ(warm.stats.computed, 0u);
+  EXPECT_EQ(warm.stats.shard_requests, 0u);
+  EXPECT_EQ(warm.stats.nodal.factorizations, 0u);
+  EXPECT_EQ(fault::resilience_cache_stats().lookups, lookups);
 }
 
 // ------------------------------------------------------------- env parsing

@@ -116,9 +116,8 @@ int main(int argc, char** argv) {
     if (result.stats.shards_used > 1 || !config.cache_path.empty()) {
       const auto& s = result.stats;
       std::cerr << "xlds-dse: shards: " << s.shards_used << " workers, " << s.shard_requests
-                << " requests (" << s.shard_redispatches << " redispatched, "
-                << s.shard_respawns << " respawns); cache: " << s.cache_hits << " hits, "
-                << s.cache_appends << " appends\n";
+                << " requests (" << s.shard_respawns << " respawns); cache: " << s.cache_hits
+                << " hits, " << s.cache_appends << " appends\n";
     }
     const auto& nodal = result.stats.nodal;
     std::cerr << "xlds-dse: nodal solver work: " << nodal.factorizations
