@@ -103,8 +103,6 @@ void emit_json(const std::string& path, const serve::ServingConfig& cfg,
        << ", \"recalibrations\": " << sc.recalibrations
        << ", \"cells_reprogrammed\": " << sc.cells_reprogrammed
        << ", \"nodal_factorizations\": " << nc.factorizations
-       << ", \"nodal_incremental_updates\": " << nc.incremental_updates
-       << ", \"nodal_updated_cells\": " << nc.updated_cells
        << ", \"nodal_update_declines\": " << nc.update_declines << "}\n}\n";
   std::cout << "\nJSON written to " << path << ".\n";
 }

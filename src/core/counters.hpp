@@ -1,10 +1,10 @@
 // Process-wide event counters for the hot solver paths (relaxed atomics;
 // header-only so low-level libraries — the nodal solver lives below
 // xlds_core in the link order — can bump them without a dependency edge).
-// Benches and the DSE engine snapshot these to report how often the
-// incremental factorization-update path is taken versus falling back to a
-// full refactorization; they are diagnostics, never inputs, so reading or
-// resetting them cannot change any result.
+// Benches and the DSE engine snapshot these to report how often the nodal
+// solver factorizes, substitutes and falls back to Gauss-Seidel; they are
+// diagnostics, never inputs, so reading or resetting them cannot change any
+// result.
 #pragma once
 
 #include <atomic>
@@ -20,23 +20,14 @@ class Profiler {
     std::uint64_t factorizations = 0;     ///< full envelope LDL^T builds
     std::uint64_t direct_solves = 0;      ///< substitutions against a cached factor
     std::uint64_t gs_solves = 0;          ///< iterative Gauss-Seidel solves
-    std::uint64_t incremental_updates = 0;///< update_cells() batches applied
-    std::uint64_t updated_cells = 0;      ///< rank-1 corrections in those batches
-    std::uint64_t update_declines = 0;    ///< batches refused (too large / cap / breakdown)
-    std::uint64_t drift_refactorizations = 0;  ///< residual check forced a rebuild
+    std::uint64_t incremental_updates = 0;///< always 0; kept only because perfbench reads it
+    std::uint64_t update_declines = 0;    ///< live factors dropped by a mutation
   };
 
   static void count_factorization() noexcept { nodal_factorizations_.fetch_add(1, kOrder); }
   static void count_direct_solve() noexcept { nodal_direct_solves_.fetch_add(1, kOrder); }
   static void count_gs_solve() noexcept { nodal_gs_solves_.fetch_add(1, kOrder); }
-  static void count_incremental_update(std::uint64_t cells) noexcept {
-    nodal_updates_.fetch_add(1, kOrder);
-    nodal_updated_cells_.fetch_add(cells, kOrder);
-  }
   static void count_update_decline() noexcept { nodal_update_declines_.fetch_add(1, kOrder); }
-  static void count_drift_refactorization() noexcept {
-    nodal_drift_refactorizations_.fetch_add(1, kOrder);
-  }
 
   /// Snapshot of the serving-loop counters (monotonic since process start or
   /// the last reset_serve()); bumped by src/serve/ as requests flow.
@@ -126,10 +117,7 @@ class Profiler {
     nodal_factorizations_.fetch_add(d.factorizations, kOrder);
     nodal_direct_solves_.fetch_add(d.direct_solves, kOrder);
     nodal_gs_solves_.fetch_add(d.gs_solves, kOrder);
-    nodal_updates_.fetch_add(d.incremental_updates, kOrder);
-    nodal_updated_cells_.fetch_add(d.updated_cells, kOrder);
     nodal_update_declines_.fetch_add(d.update_declines, kOrder);
-    nodal_drift_refactorizations_.fetch_add(d.drift_refactorizations, kOrder);
   }
 
   static void add_sched(const SchedCounts& d) noexcept {
@@ -147,10 +135,7 @@ class Profiler {
     c.factorizations = nodal_factorizations_.load(kOrder);
     c.direct_solves = nodal_direct_solves_.load(kOrder);
     c.gs_solves = nodal_gs_solves_.load(kOrder);
-    c.incremental_updates = nodal_updates_.load(kOrder);
-    c.updated_cells = nodal_updated_cells_.load(kOrder);
     c.update_declines = nodal_update_declines_.load(kOrder);
-    c.drift_refactorizations = nodal_drift_refactorizations_.load(kOrder);
     return c;
   }
 
@@ -158,10 +143,7 @@ class Profiler {
     nodal_factorizations_.store(0, kOrder);
     nodal_direct_solves_.store(0, kOrder);
     nodal_gs_solves_.store(0, kOrder);
-    nodal_updates_.store(0, kOrder);
-    nodal_updated_cells_.store(0, kOrder);
     nodal_update_declines_.store(0, kOrder);
-    nodal_drift_refactorizations_.store(0, kOrder);
   }
 
  private:
@@ -169,10 +151,7 @@ class Profiler {
   inline static std::atomic<std::uint64_t> nodal_factorizations_{0};
   inline static std::atomic<std::uint64_t> nodal_direct_solves_{0};
   inline static std::atomic<std::uint64_t> nodal_gs_solves_{0};
-  inline static std::atomic<std::uint64_t> nodal_updates_{0};
-  inline static std::atomic<std::uint64_t> nodal_updated_cells_{0};
   inline static std::atomic<std::uint64_t> nodal_update_declines_{0};
-  inline static std::atomic<std::uint64_t> nodal_drift_refactorizations_{0};
   inline static std::atomic<std::uint64_t> serve_served_{0};
   inline static std::atomic<std::uint64_t> serve_shed_{0};
   inline static std::atomic<std::uint64_t> serve_degraded_{0};

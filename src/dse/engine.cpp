@@ -498,10 +498,7 @@ ExplorationResult explore(const EngineConfig& config) {
     d.factorizations = now.factorizations - nodal_before.factorizations;
     d.direct_solves = now.direct_solves - nodal_before.direct_solves;
     d.gs_solves = now.gs_solves - nodal_before.gs_solves;
-    d.incremental_updates = now.incremental_updates - nodal_before.incremental_updates;
-    d.updated_cells = now.updated_cells - nodal_before.updated_cells;
     d.update_declines = now.update_declines - nodal_before.update_declines;
-    d.drift_refactorizations = now.drift_refactorizations - nodal_before.drift_refactorizations;
   }
   {
     const core::Profiler::SchedCounts now = core::Profiler::sched();

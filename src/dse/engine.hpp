@@ -92,11 +92,10 @@ struct ExplorationStats {
   std::size_t cache_hits = 0;           ///< pairs served from the persistent cache
   std::size_t cache_appends = 0;        ///< pairs appended to the persistent cache
   /// Nodal-solver work done on behalf of this run (delta of the process-wide
-  /// core::Profiler counters across explore()): how many full envelope
-  /// factorizations the high-fidelity tiers paid for versus how many were
-  /// served by the rank-1 incremental update path.  Diagnostics only — never
-  /// an input to any search decision — so they are omitted from
-  /// resume-comparable (--no-stats) output.
+  /// core::Profiler counters across explore()): how many envelope
+  /// factorizations and substitutions the high-fidelity tiers paid for.
+  /// Diagnostics only — never an input to any search decision — so they are
+  /// omitted from resume-comparable (--no-stats) output.
   core::Profiler::NodalCounts nodal{};
   /// Task-scheduler work done on behalf of this run (delta of the
   /// process-wide util::parallel counters across explore()) plus the wall

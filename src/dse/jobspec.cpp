@@ -254,10 +254,7 @@ util::Json result_to_json(const ExplorationResult& result, bool include_stats) {
     nodal.set("factorizations", s.nodal.factorizations);
     nodal.set("direct_solves", s.nodal.direct_solves);
     nodal.set("gs_solves", s.nodal.gs_solves);
-    nodal.set("incremental_updates", s.nodal.incremental_updates);
-    nodal.set("updated_cells", s.nodal.updated_cells);
     nodal.set("update_declines", s.nodal.update_declines);
-    nodal.set("drift_refactorizations", s.nodal.drift_refactorizations);
     stats.set("nodal", std::move(nodal));
     util::Json sched = util::Json::object();
     sched.set("threads", parallel_thread_count());

@@ -90,7 +90,7 @@ class HdcCamInference {
 
   /// The analog encoder tile fleet (only valid when analog_encode() is true)
   /// — recalibration controllers diff its conductances against a golden
-  /// snapshot and patch drifted cells via Crossbar::program_cells.
+  /// snapshot and re-program drifted cells via Crossbar::program_cells.
   xbar::TiledCrossbar& encoder_tiles() { return *encoder_; }
   const xbar::TiledCrossbar& encoder_tiles() const { return *encoder_; }
 

@@ -90,15 +90,7 @@ std::size_t ServedHdcModel::repair_encoder(double threshold_fraction) {
       for (std::size_t c = 0; c < t.cols(); ++c)
         if (std::abs(t.conductance(r, c) - g0(r, c)) > threshold)
           patch.push_back(xbar::CellDelta{r, c, g0(r, c)});
-    // Chunks of 8 stay within the incremental nodal-update batch cap (bw/8,
-    // bw >= 64 for every geometry this config produces), so a light repair
-    // costs rank-1 sweeps, and only a heavy one triggers refactorization.
-    constexpr std::size_t kChunk = 8;
-    for (std::size_t off = 0; off < patch.size(); off += kChunk) {
-      const std::size_t m = std::min(kChunk, patch.size() - off);
-      t.program_cells(std::vector<xbar::CellDelta>(patch.begin() + static_cast<std::ptrdiff_t>(off),
-                                                   patch.begin() + static_cast<std::ptrdiff_t>(off + m)));
-    }
+    t.program_cells(patch);
     repaired += patch.size();
   }
   return repaired;

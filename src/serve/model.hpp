@@ -8,10 +8,10 @@
 //   * refresh_cam()      — rewrite every class hypervector (programming
 //                          resets retention drift).
 //   * repair_encoder()   — diff each tile's conductances against the golden
-//                          programming captured at construction and patch
-//                          only the drifted cells via Crossbar::program_cells,
-//                          which the cached nodal factorization absorbs as
-//                          rank-1 up/down-dates instead of refactorizing.
+//                          programming captured at construction and
+//                          re-program only the drifted cells, with one
+//                          Crossbar::program_cells call per tile (the next
+//                          readout refactorizes a tile the repair changed).
 //   * classify_batch()   — batched analog encode through the tile fleet
 //                          (bit-identical at any thread count), then
 //                          per-request CAM searches in request order (the
@@ -58,8 +58,8 @@ struct ServedModelConfig {
     model.element_bits = 3;
     model.retrain_epochs = 2;
     subarray.cols = 64;
-    // Nodal IR drop with the cached direct solver: repair patches exercise
-    // the incremental update_cells path, full reprograms the refactorize.
+    // Nodal IR drop with the cached direct solver: each tile factorizes once
+    // per programming state, so aging and repairs pay a refactorization.
     encoder_tiles.tile.ir_drop = xbar::IrDropMode::kNodal;
   }
 };
@@ -85,10 +85,10 @@ class ServedHdcModel {
   /// Rewrite every class hypervector into the CAM; returns cells written.
   std::size_t refresh_cam();
 
-  /// Patch encoder-tile cells whose conductance drifted more than
+  /// Re-program encoder-tile cells whose conductance drifted more than
   /// `threshold_fraction` of the device range away from the golden
-  /// programming, in chunks small enough for the incremental nodal-update
-  /// policy.  Returns cells re-programmed (0 without the analog encoder).
+  /// programming, one program_cells call per tile.  Returns cells
+  /// re-programmed (0 without the analog encoder).
   std::size_t repair_encoder(double threshold_fraction);
 
   /// Offline accuracy over the whole pool (diagnostics/tests; consumes the

@@ -69,17 +69,12 @@ void append_nodal(std::string& buf, const core::Profiler::NodalCounts& c) {
   append_raw(buf, c.factorizations);
   append_raw(buf, c.direct_solves);
   append_raw(buf, c.gs_solves);
-  append_raw(buf, c.incremental_updates);
-  append_raw(buf, c.updated_cells);
   append_raw(buf, c.update_declines);
-  append_raw(buf, c.drift_refactorizations);
 }
 
 bool read_nodal(const std::string& buf, std::size_t& pos, core::Profiler::NodalCounts& c) {
   return read_raw(buf, pos, c.factorizations) && read_raw(buf, pos, c.direct_solves) &&
-         read_raw(buf, pos, c.gs_solves) && read_raw(buf, pos, c.incremental_updates) &&
-         read_raw(buf, pos, c.updated_cells) && read_raw(buf, pos, c.update_declines) &&
-         read_raw(buf, pos, c.drift_refactorizations);
+         read_raw(buf, pos, c.gs_solves) && read_raw(buf, pos, c.update_declines);
 }
 
 void append_sched(std::string& buf, const core::Profiler::SchedCounts& c) {

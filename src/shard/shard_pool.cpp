@@ -359,10 +359,7 @@ BatchResult ShardPool::evaluate(const std::vector<BatchItem>& items, std::uint32
         nd.factorizations += res.nodal.factorizations;
         nd.direct_solves += res.nodal.direct_solves;
         nd.gs_solves += res.nodal.gs_solves;
-        nd.incremental_updates += res.nodal.incremental_updates;
-        nd.updated_cells += res.nodal.updated_cells;
         nd.update_declines += res.nodal.update_declines;
-        nd.drift_refactorizations += res.nodal.drift_refactorizations;
         core::Profiler::SchedCounts& sd = out.sched;
         sd.jobs += res.sched.jobs;
         sd.inline_jobs += res.sched.inline_jobs;

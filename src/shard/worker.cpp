@@ -17,10 +17,7 @@ core::Profiler::NodalCounts nodal_delta(const core::Profiler::NodalCounts& a,
   d.factorizations = b.factorizations - a.factorizations;
   d.direct_solves = b.direct_solves - a.direct_solves;
   d.gs_solves = b.gs_solves - a.gs_solves;
-  d.incremental_updates = b.incremental_updates - a.incremental_updates;
-  d.updated_cells = b.updated_cells - a.updated_cells;
   d.update_declines = b.update_declines - a.update_declines;
-  d.drift_refactorizations = b.drift_refactorizations - a.drift_refactorizations;
   return d;
 }
 

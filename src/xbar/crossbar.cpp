@@ -15,33 +15,6 @@ namespace xlds::xbar {
 namespace {
 constexpr std::uint64_t kXbarStreamTag = 0xC205BA2;
 
-// Collects a mutation's changed cells up to a policy-relevant bound.  Past
-// the bound only the fact that the patch is oversized matters — the
-// incremental policy declines on the count alone — so the list stops
-// growing and a full-array mutation never materialises a full-array vector.
-struct DeltaPatch {
-  explicit DeltaPatch(std::size_t bound) : bound_(bound) {}
-  void add(std::size_t r, std::size_t c, double g_new) {
-    if (deltas.size() <= bound_) deltas.push_back(CellDelta{r, c, g_new});
-    ++count;
-  }
-  std::vector<CellDelta> deltas;
-  std::size_t count = 0;
-
- private:
-  std::size_t bound_;
-};
-
-// Upper bound on the incremental batch cap note_cell_updates() can resolve
-// (the true factor bandwidth is at most 2*min(rows, cols)), so a DeltaPatch
-// with this bound always stores every cell of a patch the policy could
-// accept.
-std::size_t patch_bound(const CrossbarConfig& cfg) {
-  const std::size_t bw_est = 2 * std::min(cfg.rows, cfg.cols);
-  return cfg.nodal_update_batch_limit != 0 ? cfg.nodal_update_batch_limit
-                                           : std::max<std::size_t>(1, bw_est / 8);
-}
-
 // Status of a direct solve: converged iff its Jacobi-scaled residual clears
 // the Gauss-Seidel acceptance bar `tol`.
 SolveStatus direct_status(const NodalSolver::Result& res, double tol) {
@@ -100,6 +73,8 @@ Crossbar::Crossbar(Crossbar&& other) noexcept
 
 void Crossbar::invalidate_nodal_cache() {
   std::lock_guard<std::mutex> lk(nodal_cache_.mu);
+  // A live factor dropped by a mutation (the counter's historical name).
+  if (nodal_cache_.solver != nullptr) core::Profiler::count_update_decline();
   nodal_cache_.solver = nullptr;
   nodal_cache_.attempted = false;
 }
@@ -113,58 +88,12 @@ std::shared_ptr<const NodalSolver> Crossbar::ensure_factorized() const {
     if (solver->factorize(g_, 1.0 / wire_r_per_cell_, config_.nodal_direct_max_bytes))
       cache.solver = std::move(solver);
   }
-  if (cache.solver != nullptr && cache.solver->ready()) return cache.solver;
-  return nullptr;
-}
-
-std::shared_ptr<const NodalSolver> Crossbar::refactorize_fresh() const {
-  NodalCache& cache = nodal_cache_;
-  std::lock_guard<std::mutex> lk(cache.mu);
-  core::Profiler::count_drift_refactorization();
-  cache.attempted = true;
-  auto solver = std::make_shared<NodalSolver>();
-  if (solver->factorize(g_, 1.0 / wire_r_per_cell_, config_.nodal_direct_max_bytes)) {
-    cache.solver = std::move(solver);
-    return cache.solver;
-  }
-  cache.solver = nullptr;
-  return nullptr;
-}
-
-void Crossbar::note_cell_updates(const CellDelta* deltas, std::size_t count) {
-  NodalCache& cache = nodal_cache_;
-  std::lock_guard<std::mutex> lk(cache.mu);
-  if (cache.solver == nullptr || !cache.solver->ready()) {
-    cache.solver = nullptr;
-    cache.attempted = false;
-    return;
-  }
-  const std::size_t bw = cache.solver->bandwidth();
-  const std::size_t batch_cap = config_.nodal_update_batch_limit != 0
-                                    ? config_.nodal_update_batch_limit
-                                    : std::max<std::size_t>(1, bw / 8);
-  const std::size_t total_cap = config_.nodal_update_limit != 0
-                                    ? config_.nodal_update_limit
-                                    : std::max<std::size_t>(16, bw / 2);
-  // Count-based declines short-circuit before update_cells, so an oversized
-  // DeltaPatch may legally pass a count beyond its stored prefix.
-  if (!config_.nodal_incremental || count > batch_cap ||
-      cache.solver->updates_applied() + count > total_cap ||
-      !cache.solver->update_cells(deltas, count)) {
-    core::Profiler::count_update_decline();
-    cache.solver = nullptr;
-    cache.attempted = false;
-  }
+  return cache.solver;  // only ever a ready factor, or null
 }
 
 bool Crossbar::nodal_factorized() const {
   std::lock_guard<std::mutex> lk(nodal_cache_.mu);
-  return nodal_cache_.solver != nullptr && nodal_cache_.solver->ready();
-}
-
-std::size_t Crossbar::nodal_updates_applied() const {
-  std::lock_guard<std::mutex> lk(nodal_cache_.mu);
-  return nodal_cache_.solver != nullptr ? nodal_cache_.solver->updates_applied() : 0;
+  return nodal_cache_.solver != nullptr;
 }
 
 void Crossbar::program_conductances(const MatrixD& targets) {
@@ -173,7 +102,7 @@ void Crossbar::program_conductances(const MatrixD& targets) {
                                          << " does not fit " << config_.rows << 'x'
                                          << config_.cols << " array");
   const auto& p = model_.params();
-  DeltaPatch patch(patch_bound(config_));
+  bool changed = false;
   for (std::size_t r = 0; r < config_.rows; ++r) {
     for (std::size_t c = 0; c < config_.cols; ++c) {
       if (stuck_(r, c)) continue;  // defects ignore programming
@@ -181,7 +110,7 @@ void Crossbar::program_conductances(const MatrixD& targets) {
       const double val = config_.apply_variation ? model_.program_verify(target, rng_) : target;
       if (val != g_(r, c)) {
         g_(r, c) = val;
-        patch.add(r, c, val);
+        changed = true;
       }
     }
   }
@@ -189,12 +118,12 @@ void Crossbar::program_conductances(const MatrixD& targets) {
   // A re-program that lands every cell exactly where it was (e.g. identical
   // noiseless targets) changes nothing electrically: the factorization
   // stays valid.
-  if (patch.count != 0) note_cell_updates(patch.deltas.data(), patch.count);
+  if (changed) invalidate_nodal_cache();
 }
 
 void Crossbar::program_cells(const std::vector<CellDelta>& cells) {
   const auto& p = model_.params();
-  DeltaPatch patch(patch_bound(config_));
+  bool changed = false;
   for (const CellDelta& cell : cells) {
     XLDS_REQUIRE_MSG(cell.row < config_.rows && cell.col < config_.cols,
                      "cell (" << cell.row << ',' << cell.col << ") outside " << config_.rows
@@ -204,10 +133,10 @@ void Crossbar::program_cells(const std::vector<CellDelta>& cells) {
     const double val = config_.apply_variation ? model_.program_verify(target, rng_) : target;
     if (val != g_(cell.row, cell.col)) {
       g_(cell.row, cell.col) = val;
-      patch.add(cell.row, cell.col, val);
+      changed = true;
     }
   }
-  if (patch.count != 0) note_cell_updates(patch.deltas.data(), patch.count);
+  if (changed) invalidate_nodal_cache();
 }
 
 void Crossbar::program_weights(const MatrixD& weights) {
@@ -238,18 +167,18 @@ void Crossbar::program_stochastic_hrs() {
 
 void Crossbar::age(double dt) {
   XLDS_REQUIRE(dt >= 0.0);
-  DeltaPatch patch(patch_bound(config_));
+  bool changed = false;
   for (std::size_t r = 0; r < config_.rows; ++r) {
     for (std::size_t c = 0; c < config_.cols; ++c) {
       if (stuck_(r, c)) continue;
       const double g_new = model_.relax(g_(r, c), dt, rng_);
       if (g_new != g_(r, c)) {
         g_(r, c) = g_new;
-        patch.add(r, c, g_new);
+        changed = true;
       }
     }
   }
-  if (patch.count != 0) note_cell_updates(patch.deltas.data(), patch.count);
+  if (changed) invalidate_nodal_cache();
 }
 
 void Crossbar::inject_stuck_fault(std::size_t row, std::size_t col, double g_stuck) {
@@ -260,15 +189,14 @@ void Crossbar::inject_stuck_fault(std::size_t row, std::size_t col, double g_stu
   const double g_new = std::clamp(g_stuck, 0.0, config_.rram.g_max);
   if (g_new == g_(row, col)) return;  // electrically unchanged
   g_(row, col) = g_new;
-  const CellDelta delta{row, col, g_new};
-  note_cell_updates(&delta, 1);
+  invalidate_nodal_cache();
 }
 
 void Crossbar::apply_fault_map(const fault::FaultMap& map) {
   XLDS_REQUIRE_MSG(map.rows() == config_.rows && map.cols() == config_.cols,
                    "fault map " << map.rows() << 'x' << map.cols() << " does not fit "
                                 << config_.rows << 'x' << config_.cols << " array");
-  DeltaPatch patch(patch_bound(config_));
+  bool changed = false;
   for (std::size_t r = 0; r < config_.rows; ++r) {
     for (std::size_t c = 0; c < config_.cols; ++c) {
       double pin = 0.0;
@@ -282,13 +210,13 @@ void Crossbar::apply_fault_map(const fault::FaultMap& map) {
       const double g_new = std::clamp(pin, 0.0, config_.rram.g_max);
       if (g_new != g_(r, c)) {
         g_(r, c) = g_new;
-        patch.add(r, c, g_new);
+        changed = true;
       }
     }
   }
   for (std::size_t c = 0; c < config_.cols; ++c)
     if (map.col_sense_dead(c)) adc_dead_[c] = 1;
-  if (patch.count != 0) note_cell_updates(patch.deltas.data(), patch.count);
+  if (changed) invalidate_nodal_cache();
 }
 
 std::size_t Crossbar::dead_adc_lanes() const {
@@ -382,19 +310,8 @@ std::vector<double> Crossbar::currents_nodal(const std::vector<double>& v_in,
     if (auto solver = ensure_factorized()) {
       std::vector<double> out(config_.cols);
       NodalSolver::Workspace ws;
-      NodalSolver::Result res = solver->solve(v_in.data(), out.data(), ws);
-      const double tol = kNodalTolRel * config_.read_voltage;
-      if (!(res.residual < tol) && solver->updates_applied() > 0) {
-        // The Jacobi-scaled residual is the drift detector for incrementally
-        // updated factors: a miss with updates applied means accumulated
-        // rank-1 round-off, not conditioning.  Refactorize from the exact
-        // conductances and retry once.
-        if (auto fresh = refactorize_fresh()) {
-          solver = std::move(fresh);
-          res = solver->solve(v_in.data(), out.data(), ws);
-        }
-      }
-      status = direct_status(res, tol);
+      status = direct_status(solver->solve(v_in.data(), out.data(), ws),
+                             kNodalTolRel * config_.read_voltage);
       if (status.converged) return out;
       // Residual above the Gauss-Seidel acceptance bar (pathological
       // conditioning): fall through to the iterative cross-check rather than
@@ -526,9 +443,8 @@ std::vector<double> Crossbar::currents_nodal_gs(const std::vector<double>& v_in,
 }
 
 void Crossbar::currents_nodal_batch(const NodalSolver& solver, const MatrixD& v_in,
-                                    std::size_t first, MatrixD& out,
-                                    std::vector<SolveStatus>& statuses) const {
-  // Queries [first, batch) against the shared factorization, in blocks of
+                                    MatrixD& out, std::vector<SolveStatus>& statuses) const {
+  // Every query against the shared factorization, in blocks of
   // NodalSolver::kBlock that each stream the factor once; a ragged last
   // block solves its queries one at a time.  Either way every query gets
   // solve()'s exact arithmetic, and each block touches only its own rows of
@@ -538,13 +454,13 @@ void Crossbar::currents_nodal_batch(const NodalSolver& solver, const MatrixD& v_
   constexpr std::size_t kBlock = NodalSolver::kBlock;
   const std::size_t batch = v_in.rows();
   const double tol = kNodalTolRel * config_.read_voltage;
-  const std::size_t blocks = (batch - first + kBlock - 1) / kBlock;
+  const std::size_t blocks = (batch + kBlock - 1) / kBlock;
   parallel_for(blocks, 1, [&](std::size_t begin, std::size_t end, std::size_t) {
     // One scratch per pool thread, reused across every block it solves
     // (n * kBlock doubles), so batched readouts do not churn the allocator.
     thread_local NodalSolver::Workspace ws;
     for (std::size_t blk = begin; blk < end; ++blk) {
-      const std::size_t b0 = first + blk * kBlock;
+      const std::size_t b0 = blk * kBlock;
       if (b0 + kBlock <= batch) {
         NodalSolver::Result res[kBlock];
         solver.solve_block(v_in.row_data(b0), v_in.cols(), out.row_data(b0), out.cols(), res,
@@ -651,40 +567,15 @@ MatrixD Crossbar::readout_batch(const MatrixD& inputs,
       std::vector<SolveStatus> local(batch);
       const std::shared_ptr<const NodalSolver> solver =
           config_.nodal_direct ? ensure_factorized() : nullptr;
-      if (solver != nullptr) {
-        currents_nodal_batch(*solver, v_in, 0, out, local);
-        // Drift retry, batched: replicate what the sequential single-query
-        // path would do.  The first query to miss the tolerance on an
-        // incrementally updated factor triggers one refactorization; every
-        // query from that point on would have seen the fresh factor, so
-        // re-solve the whole tail against it.
-        if (solver->updates_applied() > 0) {
-          std::size_t first_bad = batch;
-          for (std::size_t b = 0; b < batch; ++b) {
-            if (!local[b].converged) {
-              first_bad = b;
-              break;
-            }
-          }
-          if (first_bad < batch) {
-            if (const auto fresh = refactorize_fresh())
-              currents_nodal_batch(*fresh, v_in, first_bad, out, local);
-          }
-        }
-        // A direct solve that misses the tolerance falls back to the
-        // iterative path, exactly as a single-query readout would.
-        for (std::size_t b = 0; b < batch; ++b) {
-          if (local[b].converged) continue;
-          std::vector<double> v(v_in.row_data(b), v_in.row_data(b) + config_.rows);
-          const std::vector<double> i = currents_nodal_gs(v, local[b]);
-          std::copy(i.begin(), i.end(), out.row_data(b));
-        }
-      } else {
-        for (std::size_t b = 0; b < batch; ++b) {
-          std::vector<double> v(v_in.row_data(b), v_in.row_data(b) + config_.rows);
-          const std::vector<double> i = currents_nodal_gs(v, local[b]);
-          std::copy(i.begin(), i.end(), out.row_data(b));
-        }
+      if (solver != nullptr) currents_nodal_batch(*solver, v_in, out, local);
+      // A query without a converged direct solve (direct path off or
+      // declined, or a residual above the tolerance) takes the iterative
+      // path, exactly as a single-query readout would.
+      for (std::size_t b = 0; b < batch; ++b) {
+        if (local[b].converged) continue;
+        std::vector<double> v(v_in.row_data(b), v_in.row_data(b) + config_.rows);
+        const std::vector<double> i = currents_nodal_gs(v, local[b]);
+        std::copy(i.begin(), i.end(), out.row_data(b));
       }
       if (statuses != nullptr) *statuses = std::move(local);
       break;

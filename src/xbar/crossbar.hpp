@@ -72,23 +72,14 @@ struct CrossbarConfig {
   /// Memory cap for the cached LDL^T factor; larger systems fall back to
   /// Gauss-Seidel instead of allocating an oversized profile.
   std::size_t nodal_direct_max_bytes = 256u << 20;
-  /// Apply small programming changes (stuck faults, partial re-programs) to
-  /// the cached factorization as rank-1 up/down-dates instead of dropping
-  /// it.  Falls back to a full refactorization when the patch is too large
-  /// (nodal_update_batch_limit), the accumulated update count exceeds
-  /// nodal_update_limit, the update breaks down numerically, or a later
-  /// solve's residual check reports the factor drifted.
-  bool nodal_incremental = true;
-  /// Largest patch (cells per mutation) handled incrementally; bigger
-  /// patches invalidate the cache.  0 = auto (factor bandwidth / 8, the
-  /// point where a batch of rank-1 sweeps stops being clearly cheaper than
-  /// one refactorization).
-  std::size_t nodal_update_batch_limit = 0;
-  /// Accumulated rank-1 updates tolerated on one factorization before the
-  /// next mutation forces a rebuild (bounds floating-point drift and keeps
-  /// the amortised update cost below the refactorization it replaces).
-  /// 0 = auto (factor bandwidth / 2).
-  std::size_t nodal_update_limit = 0;
+};
+
+/// One cell of a programming patch: the crosspoint at (row, col) gets the
+/// conductance target g_new (siemens).
+struct CellDelta {
+  std::size_t row = 0;
+  std::size_t col = 0;
+  double g_new = 0.0;
 };
 
 /// Outcome of a nodal solve (kNodal mode).
@@ -128,10 +119,9 @@ class Crossbar {
 
   /// Re-program a subset of crosspoints to explicit conductance targets
   /// (clamped and program-and-verified exactly like program_conductances;
-  /// stuck cells ignore the request and consume no RNG draw).
-  /// Small patches update the cached nodal factorization incrementally
-  /// instead of invalidating it; the logical weights from a previous
-  /// program_weights() are kept (the patch models drift/repair around them).
+  /// stuck cells ignore the request and consume no RNG draw).  The logical
+  /// weights from a previous program_weights() are kept (the patch models
+  /// drift/repair around them).
   void program_cells(const std::vector<CellDelta>& cells);
 
   /// Program signed weights in [-1, 1] onto differential column pairs:
@@ -209,13 +199,9 @@ class Crossbar {
   double ir_drop_worst_case() const;
 
   /// True once the direct nodal factorization has been built for the current
-  /// programming state (kNodal readouts build it lazily).  Incremental
-  /// updates keep the factorization alive across small programming changes.
+  /// programming state (kNodal readouts build it lazily).  Every mutation
+  /// that changes a conductance drops it; one that changes nothing keeps it.
   bool nodal_factorized() const;
-
-  /// Rank-1 up/down-dates applied to the current factorization since it was
-  /// last built (0 when fresh or absent).
-  std::size_t nodal_updates_applied() const;
 
  private:
   // Direct-solver cache.  Guarded by `mu` so concurrent const readouts (the
@@ -223,13 +209,11 @@ class Crossbar {
   // factorization exactly once without racing.
   // Mutating the array (program/fault/age) while another thread reads is
   // outside the contract, as it always was for the conductances themselves.
-  // The solver lives behind a shared_ptr so the rare drift-triggered
-  // refactorization during a const readout can swap in a fresh factor while
-  // concurrent readers keep solving against the old one (readers pin their
-  // snapshot; nothing is ever mutated under them).
+  // A readout copies the shared_ptr under `mu` and then solves unlocked; a
+  // built factor is never mutated, only dropped, so the copy stays valid.
   struct NodalCache {
     std::mutex mu;
-    std::shared_ptr<NodalSolver> solver;
+    std::shared_ptr<const NodalSolver> solver;
     bool attempted = false;  ///< factorization tried since the last invalidation
   };
 
@@ -241,24 +225,18 @@ class Crossbar {
   /// Iterative red-black Gauss-Seidel path, started cold from the drivers.
   std::vector<double> currents_nodal_gs(const std::vector<double>& v_in,
                                         SolveStatus& status) const;
-  /// Factorized multi-RHS path over queries [first, batch); rhs/out are
+  /// Factorized multi-RHS path over every query; rhs/out are
   /// [batch x rows]/[batch x cols], statuses has one entry per query.
-  void currents_nodal_batch(const NodalSolver& solver, const MatrixD& v_in,
-                            std::size_t first, MatrixD& out,
+  void currents_nodal_batch(const NodalSolver& solver, const MatrixD& v_in, MatrixD& out,
                             std::vector<SolveStatus>& statuses) const;
   /// DAC-quantised, read_voltage-scaled row voltages for one input vector.
   std::vector<double> quantise_input(const std::vector<double>& input) const;
   /// Lazily build (once per programming state) and return the cached direct
   /// solver, or nullptr when disabled/declined.
   std::shared_ptr<const NodalSolver> ensure_factorized() const;
-  /// Replace a drifted factorization with a fresh one built from the current
-  /// conductances (readers holding the old shared_ptr are unaffected).
-  std::shared_ptr<const NodalSolver> refactorize_fresh() const;
+  /// Drop the cached factorization (the programmed conductances changed);
+  /// the next kNodal readout refactorizes.
   void invalidate_nodal_cache();
-  /// Route a programming patch to the cached factorization: apply it as
-  /// rank-1 up/down-dates when the incremental policy accepts it, otherwise
-  /// invalidate the cache.
-  void note_cell_updates(const CellDelta* deltas, std::size_t count);
   /// Read-noise + dead-lane post-processing (consumes the instance RNG).
   void apply_readout_noise(double* currents) const;
 

@@ -194,104 +194,11 @@ bool NodalSolver::factorize(const MatrixD& g, double g_wire, std::size_t max_byt
   return true;
 }
 
-bool NodalSolver::update_cells(const CellDelta* cells, std::size_t count) {
-  if (!ready_) return false;
-  for (std::size_t c = 0; c < count; ++c) {
-    XLDS_REQUIRE_MSG(cells[c].row < rows_ && cells[c].col < cols_,
-                     "cell (" << cells[c].row << ',' << cells[c].col << ") outside "
-                              << rows_ << 'x' << cols_ << " array");
-    if (!(cells[c].g_new >= 0.0) || !std::isfinite(cells[c].g_new)) return false;
-  }
-
-  // One rank-1 modification per cell whose conductance actually changes:
-  // A' = A + delta * w w^T with w = e_v - e_u.  The snapshot and A-diagonal
-  // are patched up front so the post-update residual check measures the
-  // factor against the true new matrix; on breakdown the whole solver resets
-  // and the caller refactorizes from its authoritative conductances.
-  struct Upd {
-    std::size_t p;  ///< pivot node index (the cell's v node)
-    double alpha;   ///< signed conductance delta
-  };
-  std::vector<Upd> ups;
-  ups.reserve(count);
-  for (std::size_t c = 0; c < count; ++c) {
-    const double delta = cells[c].g_new - g_(cells[c].row, cells[c].col);
-    if (delta == 0.0) continue;
-    const std::size_t iv = node_v(cells[c].row, cells[c].col);
-    g_(cells[c].row, cells[c].col) = cells[c].g_new;
-    adiag_[iv] += delta;
-    adiag_[iv + 1] += delta;
-    ups.push_back(Upd{iv, delta});
-  }
-  if (ups.empty()) return true;
-  std::stable_sort(ups.begin(), ups.end(),
-                   [](const Upd& a, const Upd& b) { return a.p < b.p; });
-
-  // Each update carries a sparse working vector w whose nonzero support at
-  // sweep position j is confined to the window [j, j + bw_] (w fill can never
-  // escape the envelope), so a power-of-two ring of bw_ + 2 slots per update
-  // replaces a dense length-n vector.
-  std::size_t ring = 1;
-  while (ring < bw_ + 2) ring <<= 1;
-  const std::size_t mask = ring - 1;
-  const std::size_t m = ups.size();
-  std::vector<double> w(m * ring, 0.0);
-  for (std::size_t u = 0; u < m; ++u) {
-    w[u * ring + (ups[u].p & mask)] = 1.0;
-    w[u * ring + ((ups[u].p + 1) & mask)] = -1.0;
-  }
-
-  // Fused left-to-right sweep: at column j apply, in patch order, the rank-1
-  // rotation of every update whose pivot has been reached (method C1).  The
-  // interleaving is exactly equivalent to applying the rank-1 updates one
-  // after another — an update's rotation at column j only depends on columns
-  // <= j, which later updates cannot touch retroactively.
-  std::size_t nactive = 0;
-  for (std::size_t j = ups[0].p; j < n_; ++j) {
-    while (nactive < m && ups[nactive].p <= j) ++nactive;
-    const std::size_t imax = std::min(n_ - 1, j + bw_);
-    // The rows of column j's envelope structure below the diagonal: every
-    // odd (column-wire) node within one bandwidth, at most one even
-    // (row-wire) node at j + 1 or j + 2 — their profiles only reach two
-    // columns left.
-    const std::size_t ieven = (j + 1) % 2 == 0 ? j + 1 : j + 2;
-    for (std::size_t u = 0; u < nactive; ++u) {
-      double* wu = w.data() + u * ring;
-      const double p = wu[j & mask];
-      if (p == 0.0) continue;
-      wu[j & mask] = 0.0;
-      double& dslot = vals_[off_[j + 1] - 1];
-      const double dold = dslot;
-      const double dnew = dold + ups[u].alpha * p * p;
-      if (!(dnew > 0.0) || !std::isfinite(dnew)) {
-        reset();
-        return false;
-      }
-      dslot = dnew;
-      const double beta = ups[u].alpha * p / dnew;
-      ups[u].alpha *= dold / dnew;
-      const auto touch = [&](std::size_t i) {
-        double& lij = vals_[off_[i] + (j - start_[i])];
-        const double wi = wu[i & mask] - p * lij;
-        wu[i & mask] = wi;
-        lij += beta * wi;
-      };
-      if (ieven <= imax && start_[ieven] <= j) touch(ieven);
-      for (std::size_t i = (j + 1) | 1; i <= imax; i += 2)
-        if (start_[i] <= j) touch(i);
-    }
-  }
-  updates_applied_ += m;
-  core::Profiler::count_incremental_update(m);
-  return true;
-}
-
 void NodalSolver::reset() noexcept {
   ready_ = false;
   rows_ = cols_ = n_ = 0;
   g_wire_ = 0.0;
   bw_ = 0;
-  updates_applied_ = 0;
   g_ = MatrixD{};
   adiag_.clear();
   adiag_.shrink_to_fit();

@@ -43,16 +43,6 @@
 // queries' values in SIMD registers — and reads the factor once per block.
 // Queries never mix: each sees the multiply, subtract and divide sequence of
 // solve(), in the same order, so results stay bit-identical.
-//
-// Incremental up/down-dates.  Changing one cell conductance by delta
-// perturbs A by exactly the rank-1 matrix delta * w w^T with
-// w = e_v - e_u (the two adjacent node indices of that cell), which lies
-// entirely inside the envelope.  update_cells() applies such a patch as a
-// batch of rank-1 LDL^T modifications (Gill/Golub/Murray/Saunders method
-// C1, the algorithm CHOLMOD uses) in a single fused left-to-right sweep:
-// cost O((n - p) * bandwidth) per cell from its pivot p, versus
-// O(n * bandwidth^2) for a full refactorization.  A downdate that would
-// drive a pivot non-positive resets the solver (the caller refactorizes).
 #pragma once
 
 #include <cstddef>
@@ -61,14 +51,6 @@
 #include "util/matrix.hpp"
 
 namespace xlds::xbar {
-
-/// One cell of a programming patch: the crosspoint at (row, col) now has
-/// conductance g_new (siemens).
-struct CellDelta {
-  std::size_t row = 0;
-  std::size_t col = 0;
-  double g_new = 0.0;
-};
 
 class NodalSolver {
  public:
@@ -81,26 +63,7 @@ class NodalSolver {
   /// down numerically (the caller falls back to the iterative solve).
   bool factorize(const MatrixD& g, double g_wire, std::size_t max_bytes);
 
-  /// Apply a conductance patch to the existing factorization as a batch of
-  /// rank-1 up/down-dates (one per cell whose conductance actually changed),
-  /// keeping the conductance snapshot, A-diagonal and factor consistent.
-  /// Returns false — and resets the solver, so the caller refactorizes from
-  /// scratch — on numeric breakdown (a downdated pivot going non-positive)
-  /// or a non-finite/negative target.  Exact in exact arithmetic: the
-  /// updated factor equals a from-scratch factorization of the patched
-  /// matrix; accumulated floating-point drift is the caller's concern (see
-  /// updates_applied()).
-  bool update_cells(const CellDelta* cells, std::size_t count);
-
   bool ready() const noexcept { return ready_; }
-
-  /// Rank-1 modifications applied since the last factorize() (drift and
-  /// amortisation bookkeeping for the caller's refactorization policy).
-  std::size_t updates_applied() const noexcept { return updates_applied_; }
-
-  /// Largest row-profile width of the factor (2*min(rows, cols) for the
-  /// crossbar network); the per-column cost unit of update_cells().
-  std::size_t bandwidth() const noexcept { return bw_; }
 
   /// Drop the factorization (programming state changed).
   void reset() noexcept;
@@ -185,7 +148,6 @@ class NodalSolver {
   bool ready_ = false;
   double g_wire_ = 0.0;
   std::size_t bw_ = 0;       ///< largest row-profile width (i - start_[i])
-  std::size_t updates_applied_ = 0;  ///< rank-1 modifications since factorize
   MatrixD g_;                ///< conductance snapshot (residual + currents)
   std::vector<double> adiag_;       ///< diagonal of A (Jacobi-scaled residual)
   std::vector<std::size_t> start_;  ///< first profile column of each row of L

@@ -14,6 +14,7 @@
 #include "core/pareto.hpp"
 #include "device/fefet.hpp"
 #include "device/rram.hpp"
+#include "device/technology.hpp"
 #include "evacam/evacam.hpp"
 #include "hdc/model.hpp"
 #include "sim/cache.hpp"
@@ -22,6 +23,7 @@
 #include "util/stats.hpp"
 #include "workload/dataset.hpp"
 #include "xbar/crossbar.hpp"
+#include "xbar/nodal_solver.hpp"
 
 namespace xlds {
 namespace {
@@ -254,6 +256,36 @@ TEST_P(XbarSizeSweep, NodalSolveConservesCurrent) {
   const auto in = nodal.column_currents(x);
   const auto ii = ideal.column_currents(x);
   for (std::size_t c = 0; c < n; ++c) EXPECT_NEAR(in[c], ii[c], 0.03 * ii[c]);
+}
+
+TEST_P(XbarSizeSweep, NodalSolveIsLinearInTheInputs) {
+  // Superposition: the network is linear, so the column currents of a sum
+  // of two inputs equal the sum of their currents, down to round-off.  One
+  // open cell puts a zero conductance (a -0.0 matrix entry) in the factor.
+  const std::size_t n = GetParam();
+  const xbar::CrossbarConfig cfg;
+  MatrixD g(n, n);
+  Rng data(303);
+  for (double& v : g.data()) v = data.uniform(cfg.rram.g_min, cfg.rram.g_max);
+  g(n / 3, n / 2) = 0.0;
+  const device::TechNode& node = device::tech_node(cfg.tech);
+  const double gw = 1.0 / (node.wire_r_per_m * cfg.cell_pitch_f * node.feature_m);
+  xbar::NodalSolver solver;
+  ASSERT_TRUE(solver.factorize(g, gw, std::size_t{1} << 30));
+
+  std::vector<double> a(n), b(n), sum(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    a[r] = data.uniform(0.0, cfg.read_voltage);
+    b[r] = data.uniform(0.0, cfg.read_voltage);
+    sum[r] = a[r] + b[r];
+  }
+  std::vector<double> ia(n), ib(n), isum(n);
+  xbar::NodalSolver::Workspace ws;
+  solver.solve(a.data(), ia.data(), ws);
+  solver.solve(b.data(), ib.data(), ws);
+  solver.solve(sum.data(), isum.data(), ws);
+  for (std::size_t c = 0; c < n; ++c)
+    EXPECT_LE(std::abs(ia[c] + ib[c] - isum[c]), 1e-12 * std::abs(isum[c])) << "column " << c;
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, XbarSizeSweep, ::testing::Values(8, 16, 32, 64));

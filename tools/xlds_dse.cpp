@@ -121,10 +121,8 @@ int main(int argc, char** argv) {
     }
     const auto& nodal = result.stats.nodal;
     std::cerr << "xlds-dse: nodal solver work: " << nodal.factorizations
-              << " factorizations, " << nodal.incremental_updates << " incremental updates ("
-              << nodal.updated_cells << " cells, " << nodal.update_declines << " declined), "
-              << nodal.drift_refactorizations << " drift rebuilds, " << nodal.direct_solves
-              << " direct / " << nodal.gs_solves << " GS solves\n";
+              << " factorizations (" << nodal.update_declines << " dropped by a mutation), "
+              << nodal.direct_solves << " direct / " << nodal.gs_solves << " GS solves\n";
     const auto& sched = result.stats.scheduler;
     std::cerr << "xlds-dse: scheduler (" << xlds::parallel_thread_count() << " lanes): "
               << sched.counts.jobs << " jobs (" << sched.counts.inline_jobs << " inline), "
