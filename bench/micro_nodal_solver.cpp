@@ -20,7 +20,9 @@
 // enforces a conservative >= 2x so CI jitter cannot mask a real regression
 // while a broken cache (or an accidentally disabled direct path) still trips
 // it instantly — or if the batched currents differ in any bit from the
-// per-query ones over more than one block.
+// per-query ones over more than one block, or if the CPU has AVX2 but the
+// solver runs its portable kernel build (a dropped compile flag or a lost
+// dispatch, which would otherwise show only as a slower bench).
 #include <chrono>
 #include <cstring>
 #include <fstream>
@@ -34,6 +36,7 @@
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "xbar/crossbar.hpp"
+#include "xbar/nodal_kernels.hpp"
 #include "xbar/nodal_solver.hpp"
 
 using namespace xlds;
@@ -199,6 +202,7 @@ void emit_json(const std::vector<SizeResult>& results) {
   json << "{\n"
        << "  \"bench\": \"nodal_solver\",\n"
        << "  \"threads\": " << parallel_thread_count() << ",\n"
+       << "  \"nodal_isa\": \"" << xbar::nodal::active_kernels().isa << "\",\n"
        << "  \"substitution_block\": " << xbar::NodalSolver::kBlock << ",\n"
        << "  \"factorization_panel\": " << xbar::NodalSolver::kPanel << ",\n"
        << "  \"factorize_reps\": " << kFactorizeReps << ",\n"
@@ -221,12 +225,25 @@ void emit_json(const std::vector<SizeResult>& results) {
   std::cout << "\n  -> BENCH_nodal_solver.json\n";
 }
 
+/// True when this CPU has AVX2, asked independently of the solver's own
+/// dispatch.
+bool cpu_has_avx2() {
+#if defined(__x86_64__)
+  return __builtin_cpu_supports("avx2");
+#else
+  return false;
+#endif
+}
+
 /// CI gate: the factorized repeated-query path must beat cold-start
 /// Gauss-Seidel and agree with it within the iterative solver's accuracy,
-/// and the blocked batch (one full block plus a remainder) must reproduce
-/// the per-query currents bit for bit.
+/// the blocked batch (one full block plus a remainder) must reproduce the
+/// per-query currents bit for bit, and a CPU with AVX2 must run the AVX2
+/// kernel build.
 int run_nodal_smoke() {
-  std::cout << "nodal solver smoke (" << parallel_thread_count() << " thread(s)):\n";
+  const std::string isa = xbar::nodal::active_kernels().isa;
+  std::cout << "nodal solver smoke (" << parallel_thread_count() << " thread(s), " << isa
+            << " kernels):\n";
   const std::size_t queries = xbar::NodalSolver::kBlock + 1;
   const SizeResult r = run_size(64, queries, /*seed=*/2000);
   std::cout << "  64x64, " << queries << " queries: GS cold " << r.gs_cold_s * 1e3
@@ -252,6 +269,10 @@ int run_nodal_smoke() {
     std::cout << "FAIL: readout_batch currents differ from per-query column_currents\n";
     ok = false;
   }
+  if (cpu_has_avx2() && isa != "avx2") {
+    std::cout << "FAIL: the CPU has AVX2 but the solver runs its " << isa << " kernels\n";
+    ok = false;
+  }
   std::cout << (ok ? "nodal smoke OK\n" : "nodal smoke FAILED\n");
   return ok ? 0 : 1;
 }
@@ -271,7 +292,8 @@ int main(int argc, char** argv) {
 
   print_banner(std::cout, "Micro-benchmark — factorization-cached nodal solver",
                "GS cold vs factorized (single and batched multi-RHS)");
-  std::cout << "Threads: " << parallel_thread_count() << " (XLDS_THREADS).\n\n";
+  std::cout << "Threads: " << parallel_thread_count() << " (XLDS_THREADS); "
+            << xbar::nodal::active_kernels().isa << " nodal kernels.\n\n";
 
   std::vector<SizeResult> results;
   for (std::size_t n : {16u, 32u, 64u, 128u})

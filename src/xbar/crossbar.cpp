@@ -8,6 +8,7 @@
 #include "core/counters.hpp"
 #include "kernels/mvm.hpp"
 #include "util/error.hpp"
+#include "util/lanes.hpp"
 #include "util/parallel.hpp"
 
 namespace xlds::xbar {
@@ -446,8 +447,9 @@ void Crossbar::currents_nodal_batch(const NodalSolver& solver, const MatrixD& v_
                                     MatrixD& out, std::vector<SolveStatus>& statuses) const {
   // Every query against the shared factorization, in blocks of
   // NodalSolver::kBlock that each stream the factor once; a ragged last
-  // block solves its queries one at a time.  Either way every query gets
-  // solve()'s exact arithmetic, and each block touches only its own rows of
+  // block goes through in blocks of kBlock / 2, kBlock / 4, ..., 1
+  // (util::for_each_block).  Every block width gives each query solve()'s
+  // exact arithmetic, and each block touches only its own rows of
   // v_in/out/statuses, so the batch parallelises over blocks with
   // bit-identical per-query results at any thread count (the factorization
   // itself is read-only here).
@@ -461,15 +463,13 @@ void Crossbar::currents_nodal_batch(const NodalSolver& solver, const MatrixD& v_
     thread_local NodalSolver::Workspace ws;
     for (std::size_t blk = begin; blk < end; ++blk) {
       const std::size_t b0 = blk * kBlock;
-      if (b0 + kBlock <= batch) {
-        NodalSolver::Result res[kBlock];
-        solver.solve_block(v_in.row_data(b0), v_in.cols(), out.row_data(b0), out.cols(), res,
-                           ws);
-        for (std::size_t k = 0; k < kBlock; ++k) statuses[b0 + k] = direct_status(res[k], tol);
-      } else {
-        for (std::size_t b = b0; b < batch; ++b)
-          statuses[b] = direct_status(solver.solve(v_in.row_data(b), out.row_data(b), ws), tol);
-      }
+      const std::size_t b1 = std::min(b0 + kBlock, batch);
+      util::for_each_block<kBlock>(b0, b1, [&]<std::size_t W>(std::size_t b) {
+        NodalSolver::Result res[W];
+        solver.solve_block<W>(v_in.row_data(b), v_in.cols(), out.row_data(b), out.cols(), res,
+                              ws);
+        for (std::size_t k = 0; k < W; ++k) statuses[b + k] = direct_status(res[k], tol);
+      });
     }
   });
 }

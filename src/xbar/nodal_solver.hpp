@@ -35,16 +35,22 @@
 // by side in SIMD registers over node-major scratch, so each factor entry is
 // read once per panel instead of once per row.  Every entry keeps the
 // one-row sweep's exact operation sequence, so the factor is byte-identical
-// to it (the argument is at factor_panel()).
+// to it (the argument is at factor_panel() in nodal_kernels.cpp).
 //
 // Blocked substitutions.  At 64x64 the packed factor (~4 MB) outgrows L2, so
 // one query's substitution streams it from memory.  solve_block() carries
-// kBlock queries through each pass side by side — node-major scratch, the
+// up to kBlock queries through each pass side by side — node-major scratch, the
 // queries' values in SIMD registers — and reads the factor once per block.
 // Queries never mix: each sees the multiply, subtract and divide sequence of
 // solve(), in the same order, so results stay bit-identical.
+//
+// Vector width.  The panel and substitution kernels live in
+// nodal_kernels.cpp, which is built twice: portable (two doubles per vector)
+// and, on x86-64, for AVX2 (four).  The process runs the AVX2 build where
+// the CPU has AVX2; both give the same bytes (nodal_kernels.hpp).
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <vector>
 
@@ -52,9 +58,19 @@
 
 namespace xlds::xbar {
 
+namespace nodal {
+struct Kernels;
+struct Network;
+}  // namespace nodal
+
 class NodalSolver {
  public:
-  NodalSolver() = default;
+  /// A solver that runs the kernel build this CPU picked
+  /// (nodal::active_kernels()).
+  NodalSolver();
+  /// A solver that runs the given kernel build: for tests that compare the
+  /// builds against each other on one CPU.
+  explicit NodalSolver(const nodal::Kernels& kernels) : kernels_(&kernels) {}
 
   /// Assemble the nodal conductance matrix for programmed conductances
   /// `g` (R x C, siemens) and per-segment wire conductance `g_wire`, then
@@ -75,11 +91,11 @@ class NodalSolver {
   /// Bytes held by the packed factor.
   std::size_t factor_bytes() const noexcept { return vals_.size() * sizeof(double); }
 
-  /// Queries solve_block() substitutes together.  Each block costs one
-  /// forward and one back pass over the factor instead of one per query, and
-  /// its kBlock independent multiply-subtract chains hide the add latency.
+  /// The widest block solve_block() substitutes together.  Each block costs
+  /// one forward and one back pass over the factor instead of one per query,
+  /// and its independent multiply-subtract chains hide the add latency.
   /// Chosen by measurement (DESIGN.md §12); deliberately not configurable.
-  static constexpr std::size_t kBlock = 8;
+  static constexpr std::size_t kBlock = 16;
 
   /// Wide rows factorize() carries through one panel of its sweep.  Each
   /// factor entry is then loaded once per panel, and the panel's kPanel
@@ -111,13 +127,17 @@ class NodalSolver {
   /// concurrent calls with distinct workspaces are safe and bit-identical.
   Result solve(const double* v_in, double* i_col, Workspace& ws) const;
 
-  /// Solve kBlock inputs with one pass over the factor: query k reads its
-  /// row voltages at `v_in + k * v_stride`, writes its column currents to
-  /// `i_col + k * i_stride` and its residual to `res[k]`.  Each query gets
-  /// exactly the arithmetic solve() gives it, so the results are
-  /// bit-identical to kBlock solve() calls.
+  /// Solve W inputs (a power of two, at most kBlock) with one pass over the
+  /// factor: query k reads its row voltages at `v_in + k * v_stride`, writes
+  /// its column currents to `i_col + k * i_stride` and its residual to
+  /// `res[k]`.  Each query gets exactly the arithmetic solve() gives it, so
+  /// the results are bit-identical to W solve() calls.
+  template <std::size_t W>
   void solve_block(const double* v_in, std::size_t v_stride, double* i_col,
-                   std::size_t i_stride, Result* res, Workspace& ws) const;
+                   std::size_t i_stride, Result* res, Workspace& ws) const {
+    static_assert(std::has_single_bit(W) && W <= kBlock, "a power of two up to kBlock");
+    substitute(W, v_in, v_stride, i_col, i_stride, res, ws);
+  }
 
  private:
   std::size_t node_v(std::size_t r, std::size_t c) const noexcept {
@@ -127,21 +147,15 @@ class NodalSolver {
     return node_v(r, c) + 1;
   }
 
-  /// The one factorization routine: the rows of W consecutive cells, their
-  /// wide rows side by side (W == kPanel, smaller at the edges).  False on a
-  /// non-positive or non-finite pivot.  `t` and `l` hold
-  /// (bw_ + 2 * kPanel) * kPanel doubles of scratch.
-  template <std::size_t W>
-  bool factor_panel(std::size_t cell0, double* t, double* l);
-  /// One narrow row (at most two entries left of the diagonal) of a panel.
-  bool factor_narrow_row(std::size_t i);
+  /// The network as the kernels see it.
+  nodal::Network network() const noexcept;
 
-  /// The one substitution routine: W queries side by side (W == 1 is
-  /// solve(), W == kBlock is solve_block()).
-  template <std::size_t W>
-  void substitute(const double* v_in, std::size_t v_stride, double* i_col,
+  /// The one substitution entry: `width` queries side by side (1 is
+  /// solve()), counted and handed to the kernel build.
+  void substitute(std::size_t width, const double* v_in, std::size_t v_stride, double* i_col,
                   std::size_t i_stride, Result* res, Workspace& ws) const;
 
+  const nodal::Kernels* kernels_;
   std::size_t rows_ = 0, cols_ = 0;
   std::size_t n_ = 0;        ///< 2 * rows * cols unknowns
   bool row_major_ = true;    ///< cells ordered along the shorter dimension

@@ -2,12 +2,14 @@
 // the Gauss-Seidel reference across shapes (including degenerate and
 // non-square arrays, faults and aged cells) and with a dense reference solve
 // that shares no code with the solver, the packed factor's bytes against a
-// row-by-row reference factorization, the invalidation contract on
-// program/fault/age, results independent of readout history, batched-vs-
-// single bit-equality across the blocked substitution's block edges and
-// thread counts, and the per-call SolveStatus reporting.
+// row-by-row reference factorization, both kernel builds (portable and AVX2)
+// byte for byte against that factor and a scalar reference substitution, the
+// invalidation contract on program/fault/age, results independent of readout
+// history, batched-vs-single bit-equality across the blocked substitution's
+// block edges and thread counts, and the per-call SolveStatus reporting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -26,6 +28,7 @@
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "xbar/crossbar.hpp"
+#include "xbar/nodal_kernels.hpp"
 #include "xbar/nodal_solver.hpp"
 #include "xbar/tiled.hpp"
 
@@ -249,19 +252,23 @@ MatrixD batch_inputs(std::size_t batch, std::size_t rows, std::uint64_t seed) {
   return xs;
 }
 
-// readout_batch solves its queries NodalSolver::kBlock at a time and sends a
-// ragged remainder through the one-query solve, so the batch sizes straddle
-// the block edges: one query, one short of a block, exactly one, one over,
-// two plus a remainder, and the 64 a served tile sees per tick.
+// readout_batch solves its queries NodalSolver::kBlock = 16 at a time and a
+// ragged remainder in blocks of 8, 4, 2 and 1, so the batch sizes cover every
+// tail: one query, 7 (4 + 2 + 1), 8, 9, one short of a block, exactly one,
+// one over, 19 (16 + 2 + 1), two plus a remainder, and the 64 a served tile
+// sees per tick; then a full tile, a column-major tile (wider than tall) and
+// a non-square row-major one.
 constexpr std::size_t kBlock = xbar::NodalSolver::kBlock;
+static_assert(kBlock == 16, "the batch sizes below cover the tails of 16");
 
 struct BatchCase {
   std::size_t batch = 0;
-  std::size_t n = 16;  ///< square tile edge
+  std::size_t rows = 16, cols = 16;
 };
 
 std::string batch_case_name(const BatchCase& c) {
-  return "b" + std::to_string(c.batch) + "_" + std::to_string(c.n) + "x" + std::to_string(c.n);
+  return "b" + std::to_string(c.batch) + "_" + std::to_string(c.rows) + "x" +
+         std::to_string(c.cols);
 }
 
 void PrintTo(const BatchCase& c, std::ostream* os) { *os << batch_case_name(c); }
@@ -272,10 +279,10 @@ class NodalBatchTest : public NodalTest, public ::testing::WithParamInterface<Ba
 
 TEST_P(NodalBatchTest, ReadoutBatchBitIdenticalToSequentialSingles) {
   const BatchCase bc = GetParam();
-  const std::size_t n = bc.n;
-  auto cfg = quiet_config(n, n);
+  const std::size_t n = bc.rows, cols = bc.cols;
+  auto cfg = quiet_config(n, cols);
   cfg.read_noise_rel = 0.005;  // noise on: the RNG draw order is part of the contract
-  const MatrixD g = mixed_conductances(n, n, cfg.rram, 41);
+  const MatrixD g = mixed_conductances(n, cols, cfg.rram, 41);
   const MatrixD xs = batch_inputs(bc.batch, n, 42);
 
   Rng r_single(13);
@@ -306,7 +313,7 @@ TEST_P(NodalBatchTest, ReadoutBatchBitIdenticalToSequentialSingles) {
       EXPECT_EQ(got.iterations, exp.iterations) << threads << " lanes, query " << b;
       EXPECT_EQ(got.used_fallback, exp.used_fallback) << threads << " lanes, query " << b;
       EXPECT_EQ(bits(got.residual), bits(exp.residual)) << threads << " lanes, query " << b;
-      for (std::size_t c = 0; c < n; ++c)
+      for (std::size_t c = 0; c < cols; ++c)
         EXPECT_EQ(bits(out(b, c)), bits(want[b][c]))
             << threads << " lanes, query " << b << " column " << c;
     }
@@ -314,10 +321,13 @@ TEST_P(NodalBatchTest, ReadoutBatchBitIdenticalToSequentialSingles) {
 }
 
 INSTANTIATE_TEST_SUITE_P(BatchSizes, NodalBatchTest,
-                         ::testing::Values(BatchCase{1}, BatchCase{kBlock - 1},
+                         ::testing::Values(BatchCase{1}, BatchCase{7}, BatchCase{8},
+                                           BatchCase{9}, BatchCase{kBlock - 1},
                                            BatchCase{kBlock}, BatchCase{kBlock + 1},
-                                           BatchCase{2 * kBlock + 3}, BatchCase{64},
-                                           BatchCase{2 * kBlock + 3, 64}),
+                                           BatchCase{19}, BatchCase{2 * kBlock + 3},
+                                           BatchCase{64}, BatchCase{19, 64, 64},
+                                           BatchCase{2 * kBlock + 3, 9, 33},
+                                           BatchCase{2 * kBlock + 3, 33, 9}),
                          [](const ::testing::TestParamInfo<BatchCase>& info) {
                            return batch_case_name(info.param);
                          });
@@ -537,14 +547,27 @@ TEST_F(NodalTest, SolverIsBitwiseDeterministicAcrossInstances) {
 
 // The profile LDL^T one row at a time, as the solver computed it before the
 // panel sweep: the same node order, profile, assembly and left-looking loop.
-// Returns the packed factor, or an empty vector when a pivot breaks down.
-std::vector<double> reference_factor(const MatrixD& g, double gw) {
-  const std::size_t rows = g.rows(), cols = g.cols(), n = 2 * rows * cols;
-  const bool row_major = cols <= rows;
-  const auto node_v = [&](std::size_t r, std::size_t c) {
+// `vals` is the packed factor, or empty when a pivot breaks down.
+struct ReferenceFactor {
+  std::size_t rows = 0, cols = 0;
+  bool row_major = true;
+  std::vector<std::size_t> start, off;
+  std::vector<double> vals;
+
+  std::size_t node_v(std::size_t r, std::size_t c) const {
     return 2 * (row_major ? r * cols + c : c * rows + r);
-  };
-  std::vector<std::size_t> start(n, 0), off(n + 1, 0);
+  }
+};
+
+ReferenceFactor reference_factor(const MatrixD& g, double gw) {
+  ReferenceFactor f;
+  const std::size_t rows = f.rows = g.rows(), cols = f.cols = g.cols(), n = 2 * rows * cols;
+  f.row_major = cols <= rows;
+  const auto node_v = [&](std::size_t r, std::size_t c) { return f.node_v(r, c); };
+  std::vector<std::size_t>& start = f.start;
+  std::vector<std::size_t>& off = f.off;
+  start.assign(n, 0);
+  off.assign(n + 1, 0);
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t c = 0; c < cols; ++c) {
       const std::size_t iv = node_v(r, c), iu = iv + 1;
@@ -588,10 +611,53 @@ std::vector<double> reference_factor(const MatrixD& g, double gw) {
     }
     double d = ri[i - si];
     for (std::size_t k = 0; k < i - si; ++k) d -= t[k] * ri[k];
-    if (!(d > 0.0) || !std::isfinite(d)) return {};
+    if (!(d > 0.0) || !std::isfinite(d)) return f;
     ri[i - si] = d;
   }
-  return vals;
+  f.vals = std::move(vals);
+  return f;
+}
+
+// One query's substitution in plain double arithmetic against the reference
+// factor: forward pass, diagonal, back pass, then the residual and the
+// currents, each in the order the solver runs them.  No lanes, no blocks, no
+// solver code.  Returns the residual.
+double reference_solve(const ReferenceFactor& f, const MatrixD& g, double gw, const double* v_in,
+                       double* i_col) {
+  const std::size_t rows = f.rows, cols = f.cols, n = 2 * rows * cols;
+  const auto row = [&](std::size_t i) { return f.vals.data() + f.off[i]; };
+  std::vector<double> x(n, 0.0);
+  for (std::size_t r = 0; r < rows; ++r) x[f.node_v(r, 0)] = gw * v_in[r];
+  for (std::size_t i = 0; i < n; ++i) {
+    double s = x[i];
+    for (std::size_t j = f.start[i]; j < i; ++j) s -= row(i)[j - f.start[i]] * x[j];
+    x[i] = s;
+  }
+  for (std::size_t i = 0; i < n; ++i) x[i] /= row(i)[i - f.start[i]];
+  for (std::size_t i = n; i-- > 0;)
+    for (std::size_t j = f.start[i]; j < i; ++j) x[j] -= row(i)[j - f.start[i]] * x[i];
+
+  double residual = 0.0;
+  std::fill(i_col, i_col + cols, 0.0);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      const std::size_t iv = f.node_v(r, c), iu = iv + 1;
+      const double gc = g(r, c);
+      const double dv = gc + gw + (c + 1 < cols ? gw : 0.0);
+      const double du = gc + gw + (r > 0 ? gw : 0.0);
+      double ax_v = dv * x[iv] - gc * x[iu];
+      if (c > 0) ax_v -= gw * x[f.node_v(r, c - 1)];
+      if (c + 1 < cols) ax_v -= gw * x[f.node_v(r, c + 1)];
+      const double b_v = c == 0 ? gw * v_in[r] : 0.0;
+      double ax_u = du * x[iu] - gc * x[iv];
+      if (r > 0) ax_u -= gw * x[f.node_v(r - 1, c) + 1];
+      if (r + 1 < rows) ax_u -= gw * x[f.node_v(r + 1, c) + 1];
+      residual = std::max(residual, std::abs(b_v - ax_v) / dv);
+      residual = std::max(residual, std::abs(0.0 - ax_u) / du);
+      i_col[c] += gc * (x[iv] - x[iu]);
+    }
+  }
+  return residual;
 }
 
 // Per-segment wire conductance of the configured technology node and pitch.
@@ -614,12 +680,24 @@ MatrixD faulty_conductances(std::size_t rows, std::size_t cols, std::uint64_t se
   return g;
 }
 
-void expect_factor_bytes(const xbar::NodalSolver& solver, const MatrixD& g, double gw) {
-  const std::vector<double> ref = reference_factor(g, gw);
-  ASSERT_FALSE(ref.empty());
+void expect_factor_bytes(const xbar::NodalSolver& solver, const ReferenceFactor& ref) {
+  ASSERT_FALSE(ref.vals.empty());
   ASSERT_TRUE(solver.ready());
-  ASSERT_EQ(solver.factor().size(), ref.size());
-  EXPECT_EQ(std::memcmp(solver.factor().data(), ref.data(), ref.size() * sizeof(double)), 0);
+  ASSERT_EQ(solver.factor().size(), ref.vals.size());
+  EXPECT_EQ(std::memcmp(solver.factor().data(), ref.vals.data(), ref.vals.size() * sizeof(double)),
+            0);
+}
+
+// Half-loaded, random with open and stuck-on cells, open corners around a
+// stuck-on centre, and all open.
+std::vector<MatrixD> factor_cases(std::size_t rows, std::size_t cols) {
+  const device::RramParams p;
+  MatrixD open_and_stuck = mixed_conductances(rows, cols, p, 5 + rows);
+  open_and_stuck(0, 0) = 0.0;
+  open_and_stuck(rows - 1, cols - 1) = 0.0;
+  open_and_stuck(rows / 2, cols / 2) = 2.0 * p.g_max;
+  return {faulty_conductances(rows, cols, 11 + rows * 131 + cols),
+          mixed_conductances(rows, cols, p, 3 + cols), open_and_stuck, MatrixD(rows, cols, 0.0)};
 }
 
 class NodalFactorBytesTest : public NodalTest, public ::testing::WithParamInterface<ShapeCase> {};
@@ -627,29 +705,106 @@ class NodalFactorBytesTest : public NodalTest, public ::testing::WithParamInterf
 TEST_P(NodalFactorBytesTest, PanelFactorIsByteIdenticalToRowByRowReference) {
   const auto [rows, cols] = GetParam();
   const double gw = wire_conductance(xbar::CrossbarConfig{});
-  const device::RramParams p;
-  MatrixD open_and_stuck = mixed_conductances(rows, cols, p, 5 + rows);
-  open_and_stuck(0, 0) = 0.0;
-  open_and_stuck(rows - 1, cols - 1) = 0.0;
-  open_and_stuck(rows / 2, cols / 2) = 2.0 * p.g_max;
-  const MatrixD cases[] = {faulty_conductances(rows, cols, 11 + rows * 131 + cols),
-                           mixed_conductances(rows, cols, p, 3 + cols), open_and_stuck,
-                           MatrixD(rows, cols, 0.0)};
-  for (const MatrixD& g : cases) {
+  for (const MatrixD& g : factor_cases(rows, cols)) {
     xbar::NodalSolver solver;
     ASSERT_TRUE(solver.factorize(g, gw, std::size_t{1} << 30));
-    expect_factor_bytes(solver, g, gw);
+    expect_factor_bytes(solver, reference_factor(g, gw));
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, NodalFactorBytesTest,
+const auto kFactorShapes =
     ::testing::Values(ShapeCase{1, 1}, ShapeCase{1, 9}, ShapeCase{9, 1}, ShapeCase{3, 5},
                       ShapeCase{5, 3}, ShapeCase{16, 16}, ShapeCase{17, 33}, ShapeCase{33, 17},
-                      ShapeCase{64, 32}, ShapeCase{32, 64}, ShapeCase{64, 64}),
-    [](const ::testing::TestParamInfo<ShapeCase>& info) {
-      return std::to_string(info.param.rows) + "x" + std::to_string(info.param.cols);
-    });
+                      ShapeCase{64, 32}, ShapeCase{32, 64}, ShapeCase{64, 64});
+
+std::string shape_name(const ::testing::TestParamInfo<ShapeCase>& info) {
+  return std::to_string(info.param.rows) + "x" + std::to_string(info.param.cols);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, NodalFactorBytesTest, kFactorShapes, shape_name);
+
+// ---- both kernel builds against the scalar reference ------------------------
+
+// The solver's kernels are built twice, portable and AVX2 (nodal_kernels.hpp),
+// and the process runs one of them.  Each build is run here directly, through
+// the solver's kernel-build constructor: its packed factor must equal the
+// row-by-row reference, and the currents and residual of solve() and of
+// every block width must equal reference_solve() byte for byte.
+template <std::size_t W>
+void expect_blocks_match(const xbar::NodalSolver& solver, const MatrixD& v, const MatrixD& want,
+                         const std::vector<double>& want_res, const char* isa) {
+  MatrixD got(v.rows(), want.cols());
+  std::vector<xbar::NodalSolver::Result> res(v.rows());
+  xbar::NodalSolver::Workspace ws;
+  for (std::size_t q = 0; q < v.rows(); q += W)
+    solver.solve_block<W>(v.row_data(q), v.cols(), got.row_data(q), got.cols(), res.data() + q,
+                          ws);
+  for (std::size_t q = 0; q < v.rows(); ++q) {
+    EXPECT_EQ(std::memcmp(got.row_data(q), want.row_data(q), want.cols() * sizeof(double)), 0)
+        << isa << ", block of " << W << ", query " << q;
+    EXPECT_EQ(bits(res[q].residual), bits(want_res[q]))
+        << isa << ", block of " << W << ", query " << q;
+  }
+}
+
+void expect_build_matches_reference(const xbar::nodal::Kernels& kernels, std::size_t rows,
+                                    std::size_t cols) {
+  const xbar::CrossbarConfig cfg;
+  const double gw = wire_conductance(cfg);
+  for (const MatrixD& g : factor_cases(rows, cols)) {
+    xbar::NodalSolver solver(kernels);
+    ASSERT_TRUE(solver.factorize(g, gw, std::size_t{1} << 30)) << kernels.isa;
+    const ReferenceFactor ref = reference_factor(g, gw);
+    expect_factor_bytes(solver, ref);
+
+    MatrixD v(kBlock, rows), want(kBlock, cols);
+    Rng rng(rows * 977 + cols);
+    for (double& x : v.data()) x = rng.uniform(0.0, cfg.read_voltage);
+    std::vector<double> want_res(kBlock);
+    for (std::size_t q = 0; q < kBlock; ++q)
+      want_res[q] = reference_solve(ref, g, gw, v.row_data(q), want.row_data(q));
+
+    xbar::NodalSolver::Workspace ws;
+    std::vector<double> got(cols);
+    for (std::size_t q = 0; q < kBlock; ++q) {
+      const double res = solver.solve(v.row_data(q), got.data(), ws).residual;
+      EXPECT_EQ(std::memcmp(got.data(), want.row_data(q), cols * sizeof(double)), 0)
+          << kernels.isa << ", solve, query " << q;
+      EXPECT_EQ(bits(res), bits(want_res[q])) << kernels.isa << ", solve, query " << q;
+    }
+    expect_blocks_match<1>(solver, v, want, want_res, kernels.isa);
+    expect_blocks_match<2>(solver, v, want, want_res, kernels.isa);
+    expect_blocks_match<4>(solver, v, want, want_res, kernels.isa);
+    expect_blocks_match<8>(solver, v, want, want_res, kernels.isa);
+    expect_blocks_match<16>(solver, v, want, want_res, kernels.isa);
+  }
+}
+
+class NodalBuildTest : public NodalTest, public ::testing::WithParamInterface<ShapeCase> {};
+
+TEST_P(NodalBuildTest, PortableBuildMatchesScalarReference) {
+  const xbar::nodal::Kernels& portable = xbar::nodal::portable_kernels();
+  ASSERT_STREQ(portable.isa, "portable");
+  expect_build_matches_reference(portable, GetParam().rows, GetParam().cols);
+}
+
+TEST_P(NodalBuildTest, Avx2BuildMatchesScalarReference) {
+  const xbar::nodal::Kernels* avx2 = xbar::nodal::avx2_kernels();
+  if (avx2 == nullptr) GTEST_SKIP() << "no AVX2 build, or this CPU lacks AVX2";
+  ASSERT_STREQ(avx2->isa, "avx2");
+  expect_build_matches_reference(*avx2, GetParam().rows, GetParam().cols);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, NodalBuildTest, kFactorShapes, shape_name);
+
+#if defined(__x86_64__)
+// A dropped compile flag or a lost dispatch would otherwise show only as a
+// slower solver.
+TEST_F(NodalTest, CpuWithAvx2RunsTheAvx2Build) {
+  if (!__builtin_cpu_supports("avx2")) GTEST_SKIP() << "this CPU lacks AVX2";
+  EXPECT_STREQ(xbar::nodal::active_kernels().isa, "avx2");
+}
+#endif
 
 // ---- dense physics oracle ---------------------------------------------------
 

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <list>
 #include <map>
 
@@ -289,6 +291,65 @@ TEST_P(XbarSizeSweep, NodalSolveIsLinearInTheInputs) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, XbarSizeSweep, ::testing::Values(8, 16, 32, 64));
+
+// ---- power-of-two scaling of the nodal network ------------------------------
+
+struct NodalShape {
+  std::size_t rows, cols;
+};
+
+class NodalScalingLaw : public ::testing::TestWithParam<NodalShape> {};
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST_P(NodalScalingLaw, PowerOfTwoScalingIsExact) {
+  // The network is linear and homogeneous, and multiplying by two is exact
+  // in binary floating point away from overflow and subnormals.  Doubling
+  // every cell conductance and the wire conductance doubles A, each pivot
+  // D and the right-hand side but leaves L and the node voltages alone, so
+  // every current doubles exactly and the Jacobi-scaled residual does not
+  // move.  Doubling the input doubles the node voltages, the currents and
+  // the residual.  One open cell puts a -0.0 entry in the factor.
+  const auto [rows, cols] = GetParam();
+  const xbar::CrossbarConfig cfg;
+  MatrixD g(rows, cols);
+  Rng data(304);
+  for (double& v : g.data()) v = data.uniform(cfg.rram.g_min, cfg.rram.g_max);
+  g(rows / 3, cols / 2) = 0.0;
+  MatrixD g2 = g;
+  for (double& v : g2.data()) v *= 2.0;
+  const device::TechNode& node = device::tech_node(cfg.tech);
+  const double gw = 1.0 / (node.wire_r_per_m * cfg.cell_pitch_f * node.feature_m);
+  std::vector<double> v(rows), v2(rows);
+  for (std::size_t r = 0; r < rows; ++r) {
+    v[r] = data.uniform(0.0, cfg.read_voltage);
+    v2[r] = 2.0 * v[r];
+  }
+
+  xbar::NodalSolver base, doubled;
+  ASSERT_TRUE(base.factorize(g, gw, std::size_t{1} << 30));
+  ASSERT_TRUE(doubled.factorize(g2, 2.0 * gw, std::size_t{1} << 30));
+  xbar::NodalSolver::Workspace ws;
+  std::vector<double> i(cols), i_g(cols), i_v(cols);
+  const double res = base.solve(v.data(), i.data(), ws).residual;
+  const double res_g = doubled.solve(v.data(), i_g.data(), ws).residual;
+  const double res_v = base.solve(v2.data(), i_v.data(), ws).residual;
+  EXPECT_EQ(bits(res_g), bits(res));
+  EXPECT_EQ(bits(res_v), bits(2.0 * res));
+  for (std::size_t c = 0; c < cols; ++c) {
+    EXPECT_EQ(bits(i_g[c]), bits(2.0 * i[c])) << "doubled conductances, column " << c;
+    EXPECT_EQ(bits(i_v[c]), bits(2.0 * i[c])) << "doubled input, column " << c;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, NodalScalingLaw,
+                         ::testing::Values(NodalShape{1, 1}, NodalShape{9, 33},
+                                           NodalShape{33, 9}, NodalShape{17, 33},
+                                           NodalShape{64, 64}),
+                         [](const ::testing::TestParamInfo<NodalShape>& info) {
+                           return std::to_string(info.param.rows) + "x" +
+                                  std::to_string(info.param.cols);
+                         });
 
 // ---- Eva-CAM monotonicities across nodes ------------------------------------
 
