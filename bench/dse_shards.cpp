@@ -1,39 +1,28 @@
 // DSE — multi-process evaluation shards + the persistent cross-run result
-// cache: throughput and the determinism/crash-recovery pins.
+// cache: warm-cache reuse and the determinism/crash-recovery pins, both on
+// the real MC job.
 //
-// Three questions decide whether the shard layer earns its place under the
-// engine (ISSUE 10 / the future DSE-as-a-service substrate):
-//
-//   1. Throughput: on an MC-heavy batch — per-point cost profiled from the
-//      ladder's own Monte-Carlo cost_estimate — does a 4-shard pool beat
-//      serial dispatch by >= 1.5x?  The batch is virtual-cost (each point
-//      *waits* its estimate instead of burning one shared core computing
-//      it), so the number measures what the pool controls — LPT dispatch
-//      and in-flight pipelining — and holds on the 1-core CI runner, where
-//      real CPU-bound work cannot overlap at all.
-//   2. Reuse: a warm --cache rerun of a real MC job must be >= 10x faster
+//   1. Reuse: a warm --cache rerun of a real MC job must be >= 10x faster
 //      than the cold run that populated it (every physics evaluation served
 //      from disk, zero recompute).
-//   3. Determinism: front JSON and journal bytes must be bit-identical
+//   2. Determinism: front JSON and journal bytes must be bit-identical
 //      across shard counts {1, 2, 4}, across cache states (none / cold /
 //      warm), and across a run whose worker is SIGKILLed mid-batch —
 //      sharding and caching are speed-only by contract.
 //
-// --shard-smoke runs all three as a CI gate and the JSON lands in
-// BENCH_shards.json.
-#include <algorithm>
+// The shard pool's speed on real physics is measured end to end by
+// perfbench's dse_shard_cache workload.  --shard-smoke runs both checks as
+// a CI gate and the JSON lands in BENCH_shards.json.
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "dse/engine.hpp"
 #include "dse/jobspec.hpp"
-#include "shard/shard_pool.hpp"
 #include "util/argparse.hpp"
 #include "util/table.hpp"
 
@@ -109,89 +98,19 @@ TimedRun timed_explore(dse::EngineConfig config, const std::string& journal_path
 
 int main(int argc, char** argv) {
   util::ArgParse args("dse_shards",
-                      "multi-process shards + persistent result cache: throughput and "
-                      "bit-identity pins");
+                      "multi-process shards + persistent result cache: warm-cache reuse "
+                      "and bit-identity pins");
   util::add_bench_options(args, /*default_seed=*/7, "BENCH_shards.json");
   args.add_flag("shard-smoke",
-                "quick CI gate: >= 1.5x at 4 shards, >= 10x warm cache, bit-identical "
-                "fronts and journals everywhere");
+                "quick CI gate: >= 10x warm cache, bit-identical fronts and journals "
+                "everywhere");
   if (!args.parse(argc, argv)) return args.help_requested() ? 0 : 2;
   util::apply_bench_options(args);
 
   print_banner(std::cout, "DSE — evaluation shards + persistent result cache",
-               "MC-heavy batch throughput; warm-cache reuse; determinism pins");
+               "warm-cache reuse; determinism pins");
 
-  // ---- Phase 1: MC-heavy batch throughput through the shard pool --------
-  //
-  // The batch is the viable grid, each point priced at the ladder's MC-tier
-  // cost_estimate in virtual time (0.25 ms per analytic-tier unit, so the
-  // resilience-probe-class points cost ~25 ms and digital points ~0.25 ms —
-  // the same two-decade spread a real MC batch has).
-  const dse::SearchSpace space({}, "isolet-like");
-  const dse::FidelityLadder ladder(mc_job().fidelity,
-                                   core::profile_for("isolet-like"));
-  constexpr double kSecondsPerCostUnit = 250e-6;
-  const auto virtual_cost_eval = [&ladder](const core::DesignPoint& p,
-                                           std::uint32_t tier) {
-    const double cost = ladder.cost_estimate(p, static_cast<dse::Fidelity>(tier));
-    std::this_thread::sleep_for(std::chrono::duration<double>(cost * kSecondsPerCostUnit));
-    core::Fom fom;  // deterministic filler: the phase times dispatch, not physics
-    fom.latency = cost;
-    fom.accuracy = 1.0 / (1.0 + cost);
-    fom.note = p.to_string();
-    return fom;
-  };
-
-  std::vector<shard::BatchItem> batch;
-  for (std::size_t i = 0; i < space.size(); ++i)
-    if (!space.culled(i)) batch.push_back({i, space.at(i)});
-  // The engine hands the pool LPT order; the bench does the same.
-  std::stable_sort(batch.begin(), batch.end(),
-                   [&](const shard::BatchItem& a, const shard::BatchItem& b) {
-                     return ladder.cost_estimate(a.point, dse::Fidelity::kMonteCarlo) >
-                            ladder.cost_estimate(b.point, dse::Fidelity::kMonteCarlo);
-                   });
-  const std::uint32_t mc_tier = static_cast<std::uint32_t>(dse::Fidelity::kMonteCarlo);
-
-  const double t_serial0 = now_s();
-  std::vector<core::Fom> serial_foms;
-  for (const shard::BatchItem& item : batch)
-    serial_foms.push_back(virtual_cost_eval(item.point, mc_tier));
-  const double t_serial = now_s() - t_serial0;
-
-  const auto pool_run = [&](std::size_t shards) {
-    shard::ShardConfig cfg;
-    cfg.shards = shards;
-    cfg.worker_threads = 1;
-    cfg.job_hash = 0xbe9c4;
-    cfg.application = "isolet-like";
-    cfg.evaluator = virtual_cost_eval;
-    shard::ShardPool pool(std::move(cfg));
-    const double t0 = now_s();
-    shard::BatchResult out = pool.evaluate(batch, mc_tier);
-    return std::make_pair(now_s() - t0, std::move(out));
-  };
-  const auto [t_pool1, foms1] = pool_run(1);
-  const auto [t_pool4, foms4] = pool_run(4);
-  const double batch_speedup = t_pool4 > 0.0 ? t_serial / t_pool4 : 0.0;
-
-  bool pool_identical = foms1.foms.size() == serial_foms.size() &&
-                        foms4.foms.size() == serial_foms.size();
-  for (std::size_t i = 0; pool_identical && i < serial_foms.size(); ++i)
-    pool_identical = foms1.foms[i].latency == serial_foms[i].latency &&
-                     foms4.foms[i].latency == serial_foms[i].latency &&
-                     foms1.foms[i].note == serial_foms[i].note &&
-                     foms4.foms[i].note == serial_foms[i].note;
-
-  Table batch_table({"dispatch", "points", "wall s", "speedup vs serial"});
-  batch_table.add_row({"serial", std::to_string(batch.size()), Table::num(t_serial, 3), "1.00x"});
-  batch_table.add_row({"1 shard", std::to_string(batch.size()), Table::num(t_pool1, 3),
-                       Table::num(t_pool1 > 0 ? t_serial / t_pool1 : 0, 2) + "x"});
-  batch_table.add_row({"4 shards", std::to_string(batch.size()), Table::num(t_pool4, 3),
-                       Table::num(batch_speedup, 2) + "x"});
-  std::cout << batch_table << "\n";
-
-  // ---- Phase 2: warm-cache reuse on the real MC job ----------------------
+  // ---- Phase 1: warm-cache reuse on the real MC job ----------------------
   const std::string cache_path = scratch("shards.xrc");
   dse::EngineConfig cached_job = mc_job();
   cached_job.cache_path = cache_path;
@@ -212,7 +131,7 @@ int main(int argc, char** argv) {
             << "x (" << warm.result.stats.cache_hits << " evaluations served from "
             << "disk, " << warm.result.stats.computed << " recomputed).\n\n";
 
-  // ---- Phase 3: determinism pins -----------------------------------------
+  // ---- Phase 2: determinism pins -----------------------------------------
   //
   // One reference run, then every variation that must not change a byte:
   // shard counts, a worker SIGKILLed mid-batch, and both cache states above.
@@ -249,7 +168,7 @@ int main(int argc, char** argv) {
   pin("warm cache", warm);
   fs::remove(cache_path);
 
-  bool all_identical = pool_identical;
+  bool all_identical = true;
   Table pin_table({"variation", "front JSON", "journal bytes"});
   for (const Pin& p : pins) {
     pin_table.add_row({p.name, p.front_ok ? "identical" : "DIVERGED",
@@ -257,26 +176,22 @@ int main(int argc, char** argv) {
     all_identical = all_identical && p.front_ok && p.journal_ok;
   }
   std::cout << pin_table;
-  std::cout << "\nExpected shape: near-linear batch speedup (the virtual-cost points\n"
-               "overlap across shards), a warm cache that recomputes nothing, and\n"
-               "every variation bit-identical to the reference run.\n";
+  std::cout << "\nExpected shape: a warm cache that recomputes nothing, and every\n"
+               "variation bit-identical to the reference run.\n";
 
   if (!args.str("out").empty()) {
     std::ofstream json(args.str("out"));
-    json << "{\n  \"bench\": \"dse_shards\",\n  \"batch\": {"
-         << "\"points\": " << batch.size() << ", \"serial_s\": " << t_serial
-         << ", \"pool1_s\": " << t_pool1 << ", \"pool4_s\": " << t_pool4
-         << ", \"speedup_4_shards\": " << batch_speedup << "},\n  \"cache\": {"
+    json << "{\n  \"bench\": \"dse_shards\",\n  \"cache\": {"
          << "\"cold_s\": " << cold.seconds << ", \"warm_s\": " << warm.seconds
          << ", \"speedup\": " << cache_speedup
          << ", \"warm_computed\": " << warm.result.stats.computed
          << ", \"warm_hits\": " << warm.result.stats.cache_hits << "},\n  \"identical\": {";
-    json << "\"pool_foms\": " << (pool_identical ? "true" : "false");
-    for (const Pin& p : pins) {
-      std::string key = p.name;
+    for (std::size_t i = 0; i < pins.size(); ++i) {
+      std::string key = pins[i].name;
       for (char& c : key)
         if (c == ' ' || c == ',') c = '_';
-      json << ", \"" << key << "\": " << (p.front_ok && p.journal_ok ? "true" : "false");
+      json << (i > 0 ? ", " : "") << "\"" << key
+           << "\": " << (pins[i].front_ok && pins[i].journal_ok ? "true" : "false");
     }
     json << "}\n}\n";
     std::cout << "\nJSON written to " << args.str("out") << ".\n";
@@ -284,11 +199,6 @@ int main(int argc, char** argv) {
 
   if (args.flag("shard-smoke")) {
     bool ok = true;
-    if (batch_speedup < 1.5) {
-      std::cerr << "shard-smoke: 4-shard batch speedup " << Table::num(batch_speedup, 2)
-                << "x is below the 1.5x bar\n";
-      ok = false;
-    }
     if (cache_speedup < 10.0) {
       std::cerr << "shard-smoke: warm-cache speedup " << Table::num(cache_speedup, 2)
                 << "x is below the 10x bar\n";
@@ -305,8 +215,7 @@ int main(int argc, char** argv) {
       ok = false;
     }
     if (!ok) return 1;
-    std::cout << "\nshard-smoke: " << Table::num(batch_speedup, 1) << "x at 4 shards, "
-              << Table::num(cache_speedup, 1)
+    std::cout << "\nshard-smoke: " << Table::num(cache_speedup, 1)
               << "x warm cache, all variations bit-identical — gate passed.\n";
   }
   return 0;

@@ -321,7 +321,6 @@ void emit_kernels_json() {
   json << "{\n"
        << "  \"bench\": \"compute_kernel_layer\",\n"
        << "  \"isa\": \"" << kernels::isa_name() << "\",\n"
-       << "  \"built_native\": " << (kernels::built_native() ? "true" : "false") << ",\n"
        << "  \"results\": [\n";
   for (std::size_t i = 0; i < cs.size(); ++i) {
     const KernelComparison& c = cs[i];

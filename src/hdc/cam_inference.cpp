@@ -1,6 +1,7 @@
 #include "hdc/cam_inference.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "hdc/encoder.hpp"
 #include "kernels/mvm.hpp"
@@ -46,16 +47,9 @@ HdcCamInference::HdcCamInference(const HdcModel& model, CamInferenceConfig confi
 }
 
 std::vector<int> HdcCamInference::query_digits(const std::vector<double>& x) const {
-  if (!encoder_.has_value()) return model_.query_digits(x);
-  std::vector<double> y = encoder_->mvm(x);
-  const double scale =
-      1.0 / std::sqrt(static_cast<double>(model_.encoder().input_dim()));
-  kernels::scale_sub(y.data(), scale, encode_bias_.data(), y.data(), y.size());
-  return model_.quantiser().digits(y);
-}
-
-std::size_t HdcCamInference::classify(const std::vector<double>& x) const {
-  return cam_.search(query_digits(x)).best_row;
+  XLDS_REQUIRE_MSG(x.size() == model_.encoder().input_dim(),
+                   "input " << x.size() << " != " << model_.encoder().input_dim());
+  return std::move(query_digits_batch(MatrixD::one_row(x))[0]);
 }
 
 std::size_t HdcCamInference::classify(const std::vector<double>& x, std::size_t votes) const {
@@ -76,9 +70,7 @@ std::size_t HdcCamInference::classify_digits(const std::vector<int>& q, std::siz
 std::vector<std::vector<int>> HdcCamInference::query_digits_batch(const MatrixD& xs) const {
   std::vector<std::vector<int>> out(xs.rows());
   if (!encoder_.has_value()) {
-    for (std::size_t b = 0; b < xs.rows(); ++b)
-      out[b] = model_.query_digits(
-          std::vector<double>(xs.row_data(b), xs.row_data(b) + xs.cols()));
+    for (std::size_t b = 0; b < xs.rows(); ++b) out[b] = model_.query_digits(xs.row(b));
     return out;
   }
   const MatrixD y = encoder_->mvm_batch(xs);
@@ -109,16 +101,6 @@ void HdcCamInference::age(double dt) {
 
 xbar::MvmCost HdcCamInference::encode_cost() const {
   return encoder_.has_value() ? encoder_->mvm_cost() : xbar::MvmCost{};
-}
-
-double HdcCamInference::accuracy(const std::vector<std::vector<double>>& xs,
-                                 const std::vector<std::size_t>& ys) const {
-  XLDS_REQUIRE(xs.size() == ys.size());
-  XLDS_REQUIRE(!xs.empty());
-  std::size_t correct = 0;
-  for (std::size_t i = 0; i < xs.size(); ++i)
-    if (classify(xs[i]) == ys[i]) ++correct;
-  return static_cast<double>(correct) / static_cast<double>(xs.size());
 }
 
 double HdcCamInference::accuracy(const std::vector<std::vector<double>>& xs,

@@ -37,26 +37,24 @@ class HdcCamInference {
   /// Builds the partitioned CAM and programs every class hypervector.
   HdcCamInference(const HdcModel& model, CamInferenceConfig config, Rng& rng);
 
-  /// Classify an input end-to-end (software encode, CAM search).
-  std::size_t classify(const std::vector<double>& x) const;
-
-  /// Majority-of-`votes` classification (odd; 1 = single search) — the
-  /// match-line re-query degradation policy.  Ties break toward the lowest
-  /// class index.
-  std::size_t classify(const std::vector<double>& x, std::size_t votes) const;
+  /// Classify an input end-to-end (encode, CAM search), by majority of
+  /// `votes` searches (odd; 1 = single search) — the match-line re-query
+  /// degradation policy.  Ties break toward the lowest class index.
+  std::size_t classify(const std::vector<double>& x, std::size_t votes = 1) const;
 
   double accuracy(const std::vector<std::vector<double>>& xs,
-                  const std::vector<std::size_t>& ys) const;
+                  const std::vector<std::size_t>& ys, std::size_t votes = 1) const;
 
-  double accuracy(const std::vector<std::vector<double>>& xs,
-                  const std::vector<std::size_t>& ys, std::size_t votes) const;
-
-  /// Quantised query digits for a batch of inputs [batch x input_dim].  With
-  /// the analog encoder the projections run through the tile fleet's batched
-  /// MVM — parallel across tiles yet bit-identical to per-row encodes at any
-  /// thread count; the CAM search stage stays per-query (it consumes the CAM
-  /// sense-noise RNG, which must advance in request order).
+  /// Quantised query digits for a batch of inputs [batch x input_dim], the
+  /// one encode path.  With the analog encoder the projections run through
+  /// the tile fleet's batched MVM — parallel across tiles, and a batch reads
+  /// exactly what its rows read one at a time, at any thread count.  The
+  /// CAM search stage stays per-query (it consumes the CAM sense-noise RNG,
+  /// which must advance in request order).
   std::vector<std::vector<int>> query_digits_batch(const MatrixD& xs) const;
+
+  /// One input's query digits: a one-row query_digits_batch.
+  std::vector<int> query_digits(const std::vector<double>& x) const;
 
   /// Associative search over pre-encoded query digits, majority of `votes`
   /// (odd; ties break toward the lowest class index) — lets a serving loop
@@ -95,8 +93,6 @@ class HdcCamInference {
   const xbar::TiledCrossbar& encoder_tiles() const { return *encoder_; }
 
  private:
-  std::vector<int> query_digits(const std::vector<double>& x) const;
-
   const HdcModel& model_;
   CamInferenceConfig config_;
   cam::PartitionedCam cam_;

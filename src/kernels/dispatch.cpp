@@ -3,22 +3,12 @@
 namespace xlds::kernels {
 
 const char* isa_name() noexcept {
-#if defined(XLDS_KERNELS_NATIVE)
-  return "native (-march=native kernel TUs)";
-#elif defined(__AVX2__)
+#if defined(__AVX2__)
   return "portable+avx2";
 #elif defined(__SSE4_2__) || defined(__POPCNT__)
   return "portable+popcnt";
 #else
   return "portable";
-#endif
-}
-
-bool built_native() noexcept {
-#if defined(XLDS_KERNELS_NATIVE)
-  return true;
-#else
-  return false;
 #endif
 }
 

@@ -10,10 +10,8 @@
 //   * an *optimised default*, structured so the compiler can vectorise it:
 //     bit-parallel word operations (XOR + popcount), restrict-qualified
 //     contiguous spans, column-tiled accumulation, and branch-free inner
-//     loops.  The kernel TUs are compiled at -O3 (see src/kernels/CMakeLists);
-//     configuring with -DXLDS_NATIVE=ON additionally builds them with
-//     -march=native.  Only the kernel TUs get these flags — the portable
-//     build stays the CI default and headers never require any ISA.
+//     loops.  The kernel TUs are compiled at -O3 (see src/kernels/CMakeLists)
+//     for the portable target; headers never require any ISA.
 //
 // Dispatch is resolved at compile time inside the kernel TUs: the public
 // entry points (kernels::hamming, kernels::matvec_t, ...) are always the
@@ -32,8 +30,5 @@ namespace xlds::kernels {
 /// Human-readable description of how the kernel TUs were compiled — shown by
 /// benches so BENCH_kernels.json records which build produced the numbers.
 const char* isa_name() noexcept;
-
-/// True when the kernel TUs were built with -march=native (XLDS_NATIVE=ON).
-bool built_native() noexcept;
 
 }  // namespace xlds::kernels

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "kernels/mvm.hpp"
 #include "util/error.hpp"
@@ -109,26 +110,6 @@ void CrossbarLsh::calibrate_centering() {
   }
 }
 
-std::vector<double> CrossbarLsh::project(const std::vector<double>& x) const {
-  const std::vector<double> currents = xbar_.column_currents(x);
-  std::vector<double> diffs(bits_);
-  kernels::diff_pairs(currents.data(), bits_, 1.0, diffs.data());
-  if (!ones_response_.empty()) {
-    double x_bar = 0.0;
-    for (double v : x) x_bar += v;
-    x_bar /= static_cast<double>(x.size());
-    for (std::size_t i = 0; i < bits_; ++i) diffs[i] -= x_bar * ones_response_[i];
-  }
-  return diffs;
-}
-
-Signature CrossbarLsh::hash(const std::vector<double>& x) const {
-  const std::vector<double> d = project(x);
-  Signature s(bits_);
-  for (std::size_t i = 0; i < bits_; ++i) s[i] = d[i] >= 0.0 ? 1 : 0;
-  return s;
-}
-
 MatrixD CrossbarLsh::project_batch(const MatrixD& xs) const {
   const MatrixD currents = xbar_.readout_batch(xs);
   const std::size_t batch = xs.rows();
@@ -158,6 +139,16 @@ std::vector<Signature> CrossbarLsh::hash_batch(const MatrixD& xs) const {
     for (std::size_t i = 0; i < bits_; ++i) s[i] = db[i] >= 0.0 ? 1 : 0;
   }
   return out;
+}
+
+std::vector<double> CrossbarLsh::project(const std::vector<double>& x) const {
+  XLDS_REQUIRE_MSG(x.size() == xbar_.rows(), "input " << x.size() << " != " << xbar_.rows());
+  return project_batch(MatrixD::one_row(x)).row(0);
+}
+
+Signature CrossbarLsh::hash(const std::vector<double>& x) const {
+  XLDS_REQUIRE_MSG(x.size() == xbar_.rows(), "input " << x.size() << " != " << xbar_.rows());
+  return std::move(hash_batch(MatrixD::one_row(x))[0]);
 }
 
 Signature CrossbarLsh::hash_ternary(const std::vector<double>& x,

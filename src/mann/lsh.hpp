@@ -89,17 +89,23 @@ class CrossbarLsh {
   xbar::Crossbar& crossbar() noexcept { return xbar_; }
   const xbar::Crossbar& crossbar() const noexcept { return xbar_; }
 
-  Signature hash(const std::vector<double>& x) const;
+  /// Column-current differences (the analog pre-sign values), centred when
+  /// calibrated — the one readout path: xs is [batch x input_dim], one row
+  /// of differences per input.  All rows share one Crossbar::readout_batch,
+  /// and with it the cached nodal factorization (kNodal mode), so projecting
+  /// an episode's worth of vectors costs one factorization plus cheap
+  /// per-row substitutions; a batch reads exactly what its rows read one at
+  /// a time.
+  MatrixD project_batch(const MatrixD& xs) const;
 
-  /// Batched hashing: xs is [batch x input_dim]; entry b is bit-identical to
-  /// hash(row b) issued sequentially.  All rows share the crossbar's cached
-  /// nodal factorization (kNodal mode), so hashing an episode's worth of
-  /// vectors costs one factorization plus cheap per-row substitutions.
+  /// Signatures of project_batch's rows: bit i is the sign of difference i.
   std::vector<Signature> hash_batch(const MatrixD& xs) const;
 
-  /// Batched projection (see hash_batch): row b of the result equals
-  /// project(row b).
-  MatrixD project_batch(const MatrixD& xs) const;
+  /// One input's projection: a one-row project_batch.
+  std::vector<double> project(const std::vector<double>& x) const;
+
+  /// One input's signature: a one-row hash_batch.
+  Signature hash(const std::vector<double>& x) const;
 
   /// TLSH: X when |I_{2i} - I_{2i+1}| < threshold_fraction * median(|diff|)
   /// measured on this input.
@@ -118,9 +124,6 @@ class CrossbarLsh {
   /// feature vectors) at the cost of one extra stored current vector.
   void calibrate_centering();
   bool centering_calibrated() const noexcept { return !ones_response_.empty(); }
-
-  /// Column-current differences (the analog pre-sign values).
-  std::vector<double> project(const std::vector<double>& x) const;
 
   /// Apply conductance relaxation (destabilises near-plane bits).
   void age(double dt);

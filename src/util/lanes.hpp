@@ -16,11 +16,10 @@
 // linker cannot hand a portable caller the AVX copy of an out-of-line member.
 // XLDS_LANES_NS names it for code built at both widths.
 //
-// Never include this from a TU built with -march=native (src/kernels/ under
-// XLDS_NATIVE): on an FMA target the compiler may contract `s + a * b` into
-// one rounding, which breaks bit-identity with the portable build.  The AVX
-// build of the nodal kernels passes -mno-fma -ffp-contract=off for that
-// reason.
+// Never include this from a TU built with FMA enabled: the compiler may then
+// contract `s + a * b` into one rounding, which breaks bit-identity with the
+// portable build.  The AVX build of the nodal kernels passes -mno-fma
+// -ffp-contract=off for that reason.
 #pragma once
 
 #include <cstddef>

@@ -32,10 +32,25 @@ class Matrix {
     return m;
   }
 
+  /// A [1 x v.size()] matrix holding v: one query as a one-row batch.
+  static Matrix one_row(const std::vector<T>& v) {
+    Matrix m;
+    m.rows_ = 1;
+    m.cols_ = v.size();
+    m.data_ = v;
+    return m;
+  }
+
   std::size_t rows() const noexcept { return rows_; }
   std::size_t cols() const noexcept { return cols_; }
   std::size_t size() const noexcept { return data_.size(); }
   bool empty() const noexcept { return data_.empty(); }
+
+  /// Row r, copied out as a vector.
+  std::vector<T> row(std::size_t r) const {
+    XLDS_ASSERT(r < rows_);
+    return std::vector<T>(row_data(r), row_data(r) + cols_);
+  }
 
   T& operator()(std::size_t r, std::size_t c) {
     XLDS_ASSERT(r < rows_ && c < cols_);

@@ -251,15 +251,13 @@ double Crossbar::conductance(std::size_t row, std::size_t col) const {
   return g_(row, col);
 }
 
-std::vector<double> Crossbar::currents_ideal(const std::vector<double>& v_in) const {
-  // Same accumulation order (and zero-row skip) as the old in-place loop;
-  // the kernel adds the restrict qualification and column tiling.
+std::vector<double> Crossbar::currents_ideal(const double* v_in) const {
   std::vector<double> out(config_.cols);
-  kernels::matvec_t(g_.data().data(), config_.rows, config_.cols, v_in.data(), out.data());
+  kernels::matvec_t(g_.data().data(), config_.rows, config_.cols, v_in, out.data());
   return out;
 }
 
-std::vector<double> Crossbar::currents_analytic(const std::vector<double>& v_in) const {
+std::vector<double> Crossbar::currents_analytic(const double* v_in) const {
   // Two-pass fixed point: compute cell currents at nominal voltages, derive
   // row/column wire drops from the accumulated currents, then recompute cell
   // currents at the depressed voltages.  Captures the first-order IR-drop
@@ -305,25 +303,7 @@ std::vector<double> Crossbar::currents_analytic(const std::vector<double>& v_in)
   return out;
 }
 
-std::vector<double> Crossbar::currents_nodal(const std::vector<double>& v_in,
-                                             SolveStatus& status) const {
-  if (config_.nodal_direct) {
-    if (auto solver = ensure_factorized()) {
-      std::vector<double> out(config_.cols);
-      NodalSolver::Workspace ws;
-      status = direct_status(solver->solve(v_in.data(), out.data(), ws),
-                             kNodalTolRel * config_.read_voltage);
-      if (status.converged) return out;
-      // Residual above the Gauss-Seidel acceptance bar (pathological
-      // conditioning): fall through to the iterative cross-check rather than
-      // return a worse answer than the tolerance promises.
-    }
-  }
-  return currents_nodal_gs(v_in, status);
-}
-
-std::vector<double> Crossbar::currents_nodal_gs(const std::vector<double>& v_in,
-                                                SolveStatus& status) const {
+std::vector<double> Crossbar::currents_nodal_gs(const double* v_in, SolveStatus& status) const {
   // Red-black Gauss-Seidel nodal solve of the two-wire-layer resistive
   // network.  Nodes are coloured by (r + c) parity; within one colour the
   // row-node update only reads same-cell and same-row opposite-colour
@@ -474,18 +454,6 @@ void Crossbar::currents_nodal_batch(const NodalSolver& solver, const MatrixD& v_
   });
 }
 
-std::vector<double> Crossbar::quantise_input(const std::vector<double>& input) const {
-  XLDS_REQUIRE_MSG(input.size() == config_.rows,
-                   "input length " << input.size() << " != " << config_.rows << " rows");
-  std::vector<double> v_in(config_.rows);
-  circuit::DacModel dac(config_.dac);
-  for (std::size_t r = 0; r < config_.rows; ++r) {
-    XLDS_REQUIRE_MSG(input[r] >= 0.0 && input[r] <= 1.0, "input " << input[r] << " not in [0,1]");
-    v_in[r] = dac.quantise(input[r], 0.0, 1.0) * config_.read_voltage;
-  }
-  return v_in;
-}
-
 void Crossbar::apply_readout_noise(double* currents) const {
   if (config_.read_noise_rel > 0.0) {
     // Peripheral read noise scales with the measured current (shot noise +
@@ -510,16 +478,12 @@ std::vector<double> Crossbar::column_currents(const std::vector<double>& input) 
 
 std::vector<double> Crossbar::column_currents(const std::vector<double>& input,
                                               SolveStatus& status) const {
-  const std::vector<double> v_in = quantise_input(input);
-  status = SolveStatus{};
-  std::vector<double> currents;
-  switch (config_.ir_drop) {
-    case IrDropMode::kNone: currents = currents_ideal(v_in); break;
-    case IrDropMode::kAnalytic: currents = currents_analytic(v_in); break;
-    case IrDropMode::kNodal: currents = currents_nodal(v_in, status); break;
-  }
-  apply_readout_noise(currents.data());
-  return currents;
+  XLDS_REQUIRE_MSG(input.size() == config_.rows,
+                   "input length " << input.size() << " != " << config_.rows << " rows");
+  std::vector<SolveStatus> statuses;
+  const MatrixD currents = readout_batch(MatrixD::one_row(input), &statuses);
+  status = statuses[0];
+  return currents.row(0);
 }
 
 MatrixD Crossbar::readout_batch(const MatrixD& inputs,
@@ -557,8 +521,7 @@ MatrixD Crossbar::readout_batch(const MatrixD& inputs,
     case IrDropMode::kAnalytic:
       parallel_for(batch, 1, [&](std::size_t begin, std::size_t end, std::size_t) {
         for (std::size_t b = begin; b < end; ++b) {
-          std::vector<double> v(v_in.row_data(b), v_in.row_data(b) + config_.rows);
-          const std::vector<double> i = currents_analytic(v);
+          const std::vector<double> i = currents_analytic(v_in.row_data(b));
           std::copy(i.begin(), i.end(), out.row_data(b));
         }
       });
@@ -570,11 +533,10 @@ MatrixD Crossbar::readout_batch(const MatrixD& inputs,
       if (solver != nullptr) currents_nodal_batch(*solver, v_in, out, local);
       // A query without a converged direct solve (direct path off or
       // declined, or a residual above the tolerance) takes the iterative
-      // path, exactly as a single-query readout would.
+      // path.
       for (std::size_t b = 0; b < batch; ++b) {
         if (local[b].converged) continue;
-        std::vector<double> v(v_in.row_data(b), v_in.row_data(b) + config_.rows);
-        const std::vector<double> i = currents_nodal_gs(v, local[b]);
+        const std::vector<double> i = currents_nodal_gs(v_in.row_data(b), local[b]);
         std::copy(i.begin(), i.end(), out.row_data(b));
       }
       if (statuses != nullptr) *statuses = std::move(local);
@@ -582,33 +544,21 @@ MatrixD Crossbar::readout_batch(const MatrixD& inputs,
     }
   }
 
-  // Read noise consumes the instance RNG: strictly in row order, so the draw
-  // sequence matches repeated single-query readouts.
+  // Read noise consumes the instance RNG strictly in row order, so a batch
+  // draws exactly what the same rows read one at a time draw.
   for (std::size_t b = 0; b < batch; ++b) apply_readout_noise(out.row_data(b));
   return out;
 }
 
 std::vector<double> Crossbar::mvm(const std::vector<double>& input) const {
-  XLDS_REQUIRE_MSG(!weights_.empty(), "mvm() requires program_weights(); use column_currents() "
-                                      "for raw-conductance arrays");
-  const std::vector<double> currents = column_currents(input);
-  circuit::AdcModel adc(config_.adc);
-  const double i_fs =
-      config_.rram.g_max * config_.read_voltage * static_cast<double>(config_.rows);
-  const double unit = config_.read_voltage * (config_.rram.g_max - config_.rram.g_min);
-  std::vector<double> out(weights_.cols());
-  for (std::size_t j = 0; j < out.size(); ++j) {
-    const double ip = adc.quantise(currents[2 * j], 0.0, i_fs);
-    const double in = adc.quantise(currents[2 * j + 1], 0.0, i_fs);
-    // Baseline g_min contributions cancel in the differential pair.
-    out[j] = (ip - in) / unit;
-  }
-  return out;
+  XLDS_REQUIRE_MSG(input.size() == config_.rows,
+                   "input length " << input.size() << " != " << config_.rows << " rows");
+  return mvm_batch(MatrixD::one_row(input)).row(0);
 }
 
 MatrixD Crossbar::mvm_batch(const MatrixD& inputs) const {
-  XLDS_REQUIRE_MSG(!weights_.empty(), "mvm_batch() requires program_weights(); use "
-                                      "readout_batch() for raw-conductance arrays");
+  XLDS_REQUIRE_MSG(!weights_.empty(), "mvm() requires program_weights(); use column_currents() "
+                                      "or readout_batch() for raw-conductance arrays");
   const MatrixD currents = readout_batch(inputs);
   const std::size_t batch = inputs.rows();
   circuit::AdcModel adc(config_.adc);
@@ -624,6 +574,7 @@ MatrixD Crossbar::mvm_batch(const MatrixD& inputs) const {
       for (std::size_t j = 0; j < weights_.cols(); ++j) {
         const double ip = adc.quantise(i_row[2 * j], 0.0, i_fs);
         const double in = adc.quantise(i_row[2 * j + 1], 0.0, i_fs);
+        // Baseline g_min contributions cancel in the differential pair.
         o_row[j] = (ip - in) / unit;
       }
     }
@@ -659,8 +610,8 @@ MvmCost Crossbar::mvm_cost() const {
 
 double Crossbar::ir_drop_worst_case() const {
   std::vector<double> ones(config_.rows, config_.read_voltage);
-  const std::vector<double> ideal = currents_ideal(ones);
-  const std::vector<double> actual = currents_analytic(ones);
+  const std::vector<double> ideal = currents_ideal(ones.data());
+  const std::vector<double> actual = currents_analytic(ones.data());
   double worst = 0.0;
   for (std::size_t c = 0; c < config_.cols; ++c) {
     if (ideal[c] <= 0.0) continue;

@@ -15,6 +15,9 @@
 //   * conductance relaxation over time (age()), which is what destabilises
 //     near-plane LSH bits in Fig. 4C,
 //   * differential column pairs for signed weights.
+//
+// Every readout goes through readout_batch() (and mvm_batch() on top of it);
+// a single query is a one-row batch.
 #pragma once
 
 #include <atomic>
@@ -157,33 +160,33 @@ class Crossbar {
 
   std::size_t stuck_cell_count() const;
 
-  /// Raw column currents (A) for an input of per-row voltages in [0, 1]
-  /// (scaled by read_voltage internally), DAC-quantised, with IR drop and
-  /// read noise applied.
-  std::vector<double> column_currents(const std::vector<double>& input) const;
-
-  /// As above, reporting the nodal solve outcome per call (the status is
-  /// only meaningful in kNodal mode; other modes leave it default).
-  std::vector<double> column_currents(const std::vector<double>& input,
-                                      SolveStatus& status) const;
-
-  /// Batched raw readout: inputs is [batch x rows], the result [batch x cols],
-  /// and row b is bit-identical to column_currents(row b of inputs) issued
-  /// sequentially in index order (read-noise draws are applied in that order).
-  /// In kNodal mode all vectors share one cached factorization and the
-  /// forward/back substitutions run in parallel over the batch via
-  /// util::parallel — per-vector results are thread-count invariant.  When
-  /// `statuses` is non-null it receives one SolveStatus per batch row.
+  /// Raw readout, the one readout path: inputs is [batch x rows], one input
+  /// of per-row voltages in [0, 1] per row (scaled by read_voltage
+  /// internally); the result is [batch x cols] column currents (A),
+  /// DAC-quantised, with IR drop and read noise applied.  Read-noise draws
+  /// come from the instance RNG in row order, so a batch reads exactly what
+  /// its rows read one at a time.  In kNodal mode all rows share one cached
+  /// factorization and the forward/back substitutions run in parallel over
+  /// blocks of rows via util::parallel — results are thread-count invariant.
+  /// When `statuses` is non-null it receives one SolveStatus per row (only
+  /// meaningful in kNodal mode; other modes leave it default).
   MatrixD readout_batch(const MatrixD& inputs,
                         std::vector<SolveStatus>* statuses = nullptr) const;
 
-  /// Signed MVM using differential pairs: returns ADC-quantised dot products
-  /// scaled back to weight×input units.  Input entries in [0, 1].
-  std::vector<double> mvm(const std::vector<double>& input) const;
+  /// One input's column currents: a one-row readout_batch.
+  std::vector<double> column_currents(const std::vector<double>& input) const;
 
-  /// Batched mvm(): inputs [batch x rows] -> outputs [batch x weights.cols()],
-  /// row b bit-identical to mvm(row b) issued sequentially.
+  /// As above, reporting the row's nodal solve outcome.
+  std::vector<double> column_currents(const std::vector<double>& input,
+                                      SolveStatus& status) const;
+
+  /// Signed MVM using differential pairs: inputs [batch x rows] in [0, 1] ->
+  /// [batch x weights.cols()] ADC-quantised dot products scaled back to
+  /// weight×input units (readout_batch, then the ADC per pair).
   MatrixD mvm_batch(const MatrixD& inputs) const;
+
+  /// One input's signed MVM: a one-row mvm_batch.
+  std::vector<double> mvm(const std::vector<double>& input) const;
 
   /// Ideal result of the programmed weights (no analog effects): W^T x.
   std::vector<double> ideal_mvm(const std::vector<double>& input) const;
@@ -217,20 +220,16 @@ class Crossbar {
     bool attempted = false;  ///< factorization tried since the last invalidation
   };
 
-  std::vector<double> currents_ideal(const std::vector<double>& v_in) const;
-  std::vector<double> currents_analytic(const std::vector<double>& v_in) const;
-  /// Dispatch: direct solve when enabled and factorizable, else Gauss-Seidel.
-  std::vector<double> currents_nodal(const std::vector<double>& v_in,
-                                     SolveStatus& status) const;
+  // The IR-drop models below take one query's `rows` row voltages (already
+  // DAC-quantised and scaled by read_voltage).
+  std::vector<double> currents_ideal(const double* v_in) const;
+  std::vector<double> currents_analytic(const double* v_in) const;
   /// Iterative red-black Gauss-Seidel path, started cold from the drivers.
-  std::vector<double> currents_nodal_gs(const std::vector<double>& v_in,
-                                        SolveStatus& status) const;
+  std::vector<double> currents_nodal_gs(const double* v_in, SolveStatus& status) const;
   /// Factorized multi-RHS path over every query; rhs/out are
   /// [batch x rows]/[batch x cols], statuses has one entry per query.
   void currents_nodal_batch(const NodalSolver& solver, const MatrixD& v_in, MatrixD& out,
                             std::vector<SolveStatus>& statuses) const;
-  /// DAC-quantised, read_voltage-scaled row voltages for one input vector.
-  std::vector<double> quantise_input(const std::vector<double>& input) const;
   /// Lazily build (once per programming state) and return the cached direct
   /// solver, or nullptr when disabled/declined.
   std::shared_ptr<const NodalSolver> ensure_factorized() const;

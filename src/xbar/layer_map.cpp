@@ -77,13 +77,7 @@ std::size_t MappedLayer::tile_count() const noexcept {
 
 std::vector<double> MappedLayer::forward(const std::vector<double>& input) const {
   XLDS_REQUIRE_MSG(input.size() == in_dim_, "input " << input.size() << " != " << in_dim_);
-  std::vector<double> out(out_dim_, 0.0);
-  for (std::size_t s = 0; s < slices_.size(); ++s) {
-    const std::vector<double> y = slices_[s].mvm(input);
-    const double coeff = slice_coeff_[s];
-    for (std::size_t j = 0; j < out_dim_; ++j) out[j] += coeff * y[j];
-  }
-  return out;
+  return forward_batch(MatrixD::one_row(input)).row(0);
 }
 
 MatrixD MappedLayer::forward_batch(const MatrixD& inputs) const {
@@ -91,9 +85,9 @@ MatrixD MappedLayer::forward_batch(const MatrixD& inputs) const {
                    "batch inputs have " << inputs.cols() << " columns, need " << in_dim_);
   const std::size_t batch = inputs.rows();
   MatrixD out(batch, out_dim_, 0.0);
-  // Slices run in fixed order (their RNG draws must match the sequential
-  // forward() sweep); the tile-fleet parallelism lives inside each slice's
-  // mvm_batch.  The shift-and-add reduction is fixed-order arithmetic.
+  // Slices run in fixed order; the tile-fleet parallelism lives inside each
+  // slice's mvm_batch.  The shift-and-add reduction is fixed-order
+  // arithmetic.
   for (std::size_t s = 0; s < slices_.size(); ++s) {
     const MatrixD y = slices_[s].mvm_batch(inputs);
     const double coeff = slice_coeff_[s];

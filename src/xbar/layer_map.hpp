@@ -54,16 +54,16 @@ class MappedLayer {
   /// multiplies back in (0 collapses to an all-zero layer).
   double scale() const noexcept { return scale_; }
 
-  /// Analog forward: x (length in_dim, entries in [0, 1]) -> W^T x with the
-  /// quantised weights, through every slice fleet plus the digital
-  /// shift-and-add reconstruction.
-  std::vector<double> forward(const std::vector<double>& input) const;
-
-  /// Batched analog forward: [batch x in_dim] -> [batch x out_dim]; row b is
-  /// bit-identical to forward(row b) issued sequentially, at any thread
-  /// count (slices run in fixed order; each slice's tile fleet parallelises
-  /// internally through TiledCrossbar::mvm_batch).
+  /// Analog forward, the one readout path: [batch x in_dim] (entries in
+  /// [0, 1]) -> W^T x per row with the quantised weights, [batch x out_dim],
+  /// through every slice fleet plus the digital shift-and-add
+  /// reconstruction.  Slices run in fixed order and each slice's tile fleet
+  /// parallelises internally through TiledCrossbar::mvm_batch, so a batch
+  /// reads exactly what its rows read one at a time, at any thread count.
   MatrixD forward_batch(const MatrixD& inputs) const;
+
+  /// One input's analog forward: a one-row forward_batch.
+  std::vector<double> forward(const std::vector<double>& input) const;
 
   /// Software W^T x with the quantised (bit-sliced) weights — the digital
   /// reference the analog path is compared against.

@@ -43,24 +43,7 @@ void TiledCrossbar::program_weights(const MatrixD& weights) {
 
 std::vector<double> TiledCrossbar::mvm(const std::vector<double>& input) const {
   XLDS_REQUIRE_MSG(input.size() == in_dim_, "input " << input.size() << " != " << in_dim_);
-  std::vector<double> out(out_dim_, 0.0);
-  // One slice buffer serves every tile row (the per-row zero padding is
-  // rewritten in full each pass); partial sums land in a reused vector.
-  std::vector<double> slice(config_.tile.rows, 0.0);
-  std::vector<double> partial;
-  for (std::size_t rt = 0; rt < row_tiles_; ++rt) {
-    for (std::size_t r = 0; r < config_.tile.rows; ++r) {
-      const std::size_t gr = rt * config_.tile.rows + r;
-      slice[r] = gr < in_dim_ ? input[gr] : 0.0;
-    }
-    for (std::size_t ct = 0; ct < col_tiles_; ++ct) {
-      partial = tiles_[rt * col_tiles_ + ct].mvm(slice);
-      const std::size_t gc0 = ct * logical_cols_per_tile_;
-      kernels::accumulate(partial.data(), out.data() + gc0,
-                          std::min(partial.size(), out_dim_ - gc0));
-    }
-  }
-  return out;
+  return mvm_batch(MatrixD::one_row(input)).row(0);
 }
 
 MatrixD TiledCrossbar::mvm_batch(const MatrixD& inputs) const {
@@ -88,12 +71,12 @@ MatrixD TiledCrossbar::mvm_batch(const MatrixD& inputs) const {
 
   // Stage 2: every tile runs the whole batch against its own cached nodal
   // factorization, all tiles concurrently through the shared util::parallel
-  // pool.  Each tile owns its RNG and conductance state, and sees the batch
-  // in index order exactly as the sequential sweep did — so every partial is
-  // bit-identical to serial execution at any thread count.  (A tile's inner
-  // batch parallelism cooperates with the pool inside this nested region —
-  // the worker running a tile submits the inner tasks to the shared deques
-  // and helps drain them — so a fleet narrower than the pool still fills it.)
+  // pool.  Each tile owns its RNG and conductance state and sees the batch
+  // in index order, so every partial is bit-identical to running the tiles
+  // one after another, at any thread count.  (A tile's inner batch
+  // parallelism cooperates with the pool inside this nested region — the
+  // worker running a tile submits the inner tasks to the shared deques and
+  // helps drain them — so a fleet narrower than the pool still fills it.)
   std::vector<MatrixD> partials(tiles_.size());
   parallel_for(tiles_.size(), 1, [&](std::size_t begin, std::size_t end, std::size_t) {
     for (std::size_t t = begin; t < end; ++t)

@@ -41,17 +41,18 @@ class TiledCrossbar {
   /// Program the full logical weight matrix (in_dim x out_dim, in [-1, 1]).
   void program_weights(const MatrixD& weights);
 
-  /// Analog MVM: x (length in_dim, entries in [0, 1]) -> W^T x (length out_dim).
-  std::vector<double> mvm(const std::vector<double>& input) const;
-
-  /// Batched MVM: inputs [batch x in_dim] -> outputs [batch x out_dim], row b
-  /// bit-identical to mvm(row b) issued sequentially (each tile consumes its
-  /// RNG in batch order, and in kNodal mode every tile amortises one cached
-  /// factorization across the whole batch).  The tile fleet runs concurrently
-  /// through the shared util::parallel pool — each tile's state is private
-  /// and the partial-sum reduction is fixed-order, so results are invariant
-  /// to the thread count.
+  /// Analog MVM, the one readout path: inputs [batch x in_dim] (entries in
+  /// [0, 1]) -> W^T x per row, [batch x out_dim].  Each tile consumes its RNG
+  /// in batch order, so a batch reads exactly what its rows read one at a
+  /// time, and in kNodal mode every tile amortises one cached factorization
+  /// across the whole batch.  The tile fleet runs concurrently through the
+  /// shared util::parallel pool — each tile's state is private and the
+  /// partial-sum reduction is fixed-order, so results are invariant to the
+  /// thread count.
   MatrixD mvm_batch(const MatrixD& inputs) const;
+
+  /// One input's analog MVM: a one-row mvm_batch.
+  std::vector<double> mvm(const std::vector<double>& input) const;
 
   /// Ideal (software) result for comparison.
   std::vector<double> ideal_mvm(const std::vector<double>& input) const;

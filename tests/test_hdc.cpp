@@ -3,12 +3,14 @@
 // the benches sweep the paper-scale configurations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "hdc/cam_inference.hpp"
 #include "hdc/encoder.hpp"
 #include "hdc/model.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 #include "workload/dataset.hpp"
 
 namespace xlds::hdc {
@@ -321,6 +323,49 @@ TEST(CamInference, AnalogEncodeMatchesSoftwareEncode) {
   const double sw_acc = software.accuracy(ds.test_x, ds.test_y);
   const double hw_acc = analog.accuracy(ds.test_x, ds.test_y);
   EXPECT_NEAR(hw_acc, sw_acc, 0.08);
+}
+
+// The serving loop encodes only through query_digits_batch: row b must read
+// exactly what query_digits(row b) reads on a twin inference, with the analog
+// encoder's read noise on, at any pool width.
+TEST(CamInference, QueryDigitsBatchMatchesPerQueryDigits) {
+  const auto ds = small_dataset(12);
+  Rng rng(18);
+  HdcConfig model_cfg = small_config(3);
+  model_cfg.hv_dim = 128;
+  HdcModel model(model_cfg, ds.dim, ds.n_classes, rng);
+  model.train(ds.train_x, ds.train_y);
+
+  CamInferenceConfig cfg;
+  cfg.subarray = cam_subarray(3, 128);
+  cfg.analog_encode = true;
+  cfg.encoder_tiles.tile.rows = 16;  // 3 x 8 tiles, so the fleet runs in parallel
+  cfg.encoder_tiles.tile.cols = 32;
+  cfg.encoder_tiles.tile.read_noise_rel = 0.005;
+  cfg.encoder_tiles.tile.ir_drop = xbar::IrDropMode::kNodal;
+
+  constexpr std::size_t kQueries = 19;  // one full substitution block and a ragged tail
+  MatrixD xs(kQueries, ds.dim);
+  for (std::size_t b = 0; b < kQueries; ++b)
+    std::copy(ds.test_x[b].begin(), ds.test_x[b].end(), xs.row_data(b));
+
+  std::vector<std::vector<int>> first_width;
+  for (const std::size_t threads : {1u, 8u}) {
+    set_parallel_threads(threads);
+    Rng r_batch(19), r_single(19);
+    HdcCamInference batched(model, cfg, r_batch);
+    HdcCamInference single(model, cfg, r_single);
+    const std::vector<std::vector<int>> digits = batched.query_digits_batch(xs);
+    ASSERT_EQ(digits.size(), kQueries);
+    for (std::size_t b = 0; b < kQueries; ++b)
+      EXPECT_EQ(digits[b], single.query_digits(ds.test_x[b]))
+          << threads << " lanes, query " << b;
+    if (first_width.empty())
+      first_width = digits;
+    else
+      EXPECT_EQ(digits, first_width) << "pool width changed the digits";
+  }
+  set_parallel_threads(0);
 }
 
 TEST(CamInference, AnalogEncodeRejectsRecordEncoder) {

@@ -938,16 +938,31 @@ TEST_F(NodalTest, TiledBatchBitIdenticalToSequentialMvm) {
 TEST_F(NodalTest, LshHashBatchBitIdenticalToSequentialHash) {
   auto cfg = quiet_config(32, 32);
   cfg.read_noise_rel = 0.005;
-  Rng r1(47), r2(47);
-  mann::CrossbarLsh batched(cfg, 16, r1);
-  mann::CrossbarLsh single(cfg, 16, r2);
-
   const MatrixD xs = batch_inputs(4, 32, 48);
-  const auto sigs = batched.hash_batch(xs);
-  ASSERT_EQ(sigs.size(), 4u);
-  for (std::size_t b = 0; b < xs.rows(); ++b) {
-    const std::vector<double> x(xs.row_data(b), xs.row_data(b) + 32);
-    EXPECT_EQ(sigs[b], single.hash(x)) << "batch row " << b;
+  // Plain, then centred: calibrate_centering() makes project_batch subtract
+  // each row's own mean times the all-ones response (the MC probe's path).
+  for (const bool centred : {false, true}) {
+    Rng r1(47), r2(47);
+    mann::CrossbarLsh batched(cfg, 16, r1);
+    mann::CrossbarLsh single(cfg, 16, r2);
+    if (centred) {
+      batched.calibrate_centering();
+      single.calibrate_centering();
+      ASSERT_TRUE(batched.centering_calibrated());
+    }
+
+    const MatrixD diffs = batched.project_batch(xs);
+    for (std::size_t b = 0; b < xs.rows(); ++b) {
+      const std::vector<double> want = single.project(xs.row(b));
+      for (std::size_t i = 0; i < want.size(); ++i)
+        EXPECT_EQ(bits(diffs(b, i)), bits(want[i]))
+            << (centred ? "centred" : "plain") << ", batch row " << b << " bit " << i;
+    }
+    const auto sigs = batched.hash_batch(xs);
+    ASSERT_EQ(sigs.size(), 4u);
+    for (std::size_t b = 0; b < xs.rows(); ++b)
+      EXPECT_EQ(sigs[b], single.hash(xs.row(b)))
+          << (centred ? "centred" : "plain") << ", batch row " << b;
   }
 }
 
