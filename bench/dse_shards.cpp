@@ -181,7 +181,8 @@ int main(int argc, char** argv) {
 
   if (!args.str("out").empty()) {
     std::ofstream json(args.str("out"));
-    json << "{\n  \"bench\": \"dse_shards\",\n  \"cache\": {"
+    json << "{\n  \"bench\": \"dse_shards\",\n  \"build_type\": \"" << XLDS_BUILD_TYPE
+         << "\",\n  \"cache\": {"
          << "\"cold_s\": " << cold.seconds << ", \"warm_s\": " << warm.seconds
          << ", \"speedup\": " << cache_speedup
          << ", \"warm_computed\": " << warm.result.stats.computed

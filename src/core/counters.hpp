@@ -5,6 +5,10 @@
 // solver factorizes, substitutes and falls back to Gauss-Seidel; they are
 // diagnostics, never inputs, so reading or resetting them cannot change any
 // result.
+//
+// Each counts struct lists its fields once, in each(); the arithmetic, the
+// Profiler's snapshot/fold/reset and the shard wire's counts blocks all walk
+// that list.
 #pragma once
 
 #include <atomic>
@@ -12,158 +16,158 @@
 
 namespace xlds::core {
 
+/// Nodal-solver counters.
+struct NodalCounts {
+  std::uint64_t factorizations = 0;     ///< full envelope LDL^T builds
+  std::uint64_t direct_solves = 0;      ///< substitutions against a cached factor
+  std::uint64_t gs_solves = 0;          ///< iterative Gauss-Seidel solves
+  std::uint64_t incremental_updates = 0;///< always 0; kept only because perfbench reads it
+  std::uint64_t update_declines = 0;    ///< live factors dropped by a mutation
+
+  /// Calls f with the same field of every argument, field by field.
+  template <class F, class... S>
+  static void each(F&& f, S&... s) {
+    f(s.factorizations...);
+    f(s.direct_solves...);
+    f(s.gs_solves...);
+    f(s.incremental_updates...);
+    f(s.update_declines...);
+  }
+
+  NodalCounts& operator+=(const NodalCounts& d) noexcept {
+    each([](std::uint64_t& a, std::uint64_t b) { a += b; }, *this, d);
+    return *this;
+  }
+  friend NodalCounts operator-(NodalCounts a, const NodalCounts& b) noexcept {
+    each([](std::uint64_t& x, std::uint64_t y) { x -= y; }, a, b);
+    return a;
+  }
+  bool operator==(const NodalCounts&) const = default;
+};
+
+/// Serving-loop counters; bumped by src/serve/ as requests flow.
+struct ServeCounts {
+  std::uint64_t requests_served = 0;     ///< classified and answered
+  std::uint64_t requests_shed = 0;       ///< refused by admission control
+  std::uint64_t requests_degraded = 0;   ///< answered in degraded mode
+  std::uint64_t recalibrations = 0;      ///< refresh/reprogram events
+  std::uint64_t cells_reprogrammed = 0;  ///< CAM + crossbar cells rewritten
+
+  template <class F, class... S>
+  static void each(F&& f, S&... s) {
+    f(s.requests_served...);
+    f(s.requests_shed...);
+    f(s.requests_degraded...);
+    f(s.recalibrations...);
+    f(s.cells_reprogrammed...);
+  }
+};
+
+/// Task-scheduler counters; bumped by util::parallel as jobs dispatch.
+struct SchedCounts {
+  std::uint64_t jobs = 0;            ///< batches dispatched to the pool
+  std::uint64_t inline_jobs = 0;     ///< batches run inline (below the work floor / no lanes)
+  std::uint64_t tasks = 0;           ///< tasks executed by their submitting lane
+  std::uint64_t stolen_tasks = 0;    ///< tasks executed by a different lane
+  std::uint64_t steal_failures = 0;  ///< full deque scans that found nothing
+  std::uint64_t nested_cooperative = 0;  ///< nested jobs run via shared deques
+  std::uint64_t nested_inlined = 0;      ///< nested jobs degraded to inline serial
+
+  template <class F, class... S>
+  static void each(F&& f, S&... s) {
+    f(s.jobs...);
+    f(s.inline_jobs...);
+    f(s.tasks...);
+    f(s.stolen_tasks...);
+    f(s.steal_failures...);
+    f(s.nested_cooperative...);
+    f(s.nested_inlined...);
+  }
+
+  SchedCounts& operator+=(const SchedCounts& d) noexcept {
+    each([](std::uint64_t& a, std::uint64_t b) { a += b; }, *this, d);
+    return *this;
+  }
+  friend SchedCounts operator-(SchedCounts a, const SchedCounts& b) noexcept {
+    each([](std::uint64_t& x, std::uint64_t y) { x -= y; }, a, b);
+    return a;
+  }
+  bool operator==(const SchedCounts&) const = default;
+};
+
 class Profiler {
  public:
-  /// Snapshot of the nodal-solver counters (monotonic since process start or
-  /// the last reset_nodal()).
-  struct NodalCounts {
-    std::uint64_t factorizations = 0;     ///< full envelope LDL^T builds
-    std::uint64_t direct_solves = 0;      ///< substitutions against a cached factor
-    std::uint64_t gs_solves = 0;          ///< iterative Gauss-Seidel solves
-    std::uint64_t incremental_updates = 0;///< always 0; kept only because perfbench reads it
-    std::uint64_t update_declines = 0;    ///< live factors dropped by a mutation
-  };
+  using NodalCounts = core::NodalCounts;
+  using ServeCounts = core::ServeCounts;
+  using SchedCounts = core::SchedCounts;
 
-  static void count_factorization() noexcept { nodal_factorizations_.fetch_add(1, kOrder); }
-  static void count_direct_solve() noexcept { nodal_direct_solves_.fetch_add(1, kOrder); }
-  static void count_gs_solve() noexcept { nodal_gs_solves_.fetch_add(1, kOrder); }
-  static void count_update_decline() noexcept { nodal_update_declines_.fetch_add(1, kOrder); }
+  static void count_factorization() noexcept { bump(nodal_.factorizations); }
+  static void count_direct_solve() noexcept { bump(nodal_.direct_solves); }
+  static void count_gs_solve() noexcept { bump(nodal_.gs_solves); }
+  static void count_update_decline() noexcept { bump(nodal_.update_declines); }
 
-  /// Snapshot of the serving-loop counters (monotonic since process start or
-  /// the last reset_serve()); bumped by src/serve/ as requests flow.
-  struct ServeCounts {
-    std::uint64_t requests_served = 0;     ///< classified and answered
-    std::uint64_t requests_shed = 0;       ///< refused by admission control
-    std::uint64_t requests_degraded = 0;   ///< answered in degraded mode
-    std::uint64_t recalibrations = 0;      ///< refresh/reprogram events
-    std::uint64_t cells_reprogrammed = 0;  ///< CAM + crossbar cells rewritten
-  };
-
-  static void count_request_served() noexcept { serve_served_.fetch_add(1, kOrder); }
-  static void count_request_shed() noexcept { serve_shed_.fetch_add(1, kOrder); }
-  static void count_request_degraded() noexcept { serve_degraded_.fetch_add(1, kOrder); }
+  static void count_request_served() noexcept { bump(serve_.requests_served); }
+  static void count_request_shed() noexcept { bump(serve_.requests_shed); }
+  static void count_request_degraded() noexcept { bump(serve_.requests_degraded); }
   static void count_recalibration(std::uint64_t cells) noexcept {
-    serve_recals_.fetch_add(1, kOrder);
-    serve_cells_.fetch_add(cells, kOrder);
+    bump(serve_.recalibrations);
+    bump(serve_.cells_reprogrammed, cells);
   }
 
-  static ServeCounts serve() noexcept {
-    ServeCounts c;
-    c.requests_served = serve_served_.load(kOrder);
-    c.requests_shed = serve_shed_.load(kOrder);
-    c.requests_degraded = serve_degraded_.load(kOrder);
-    c.recalibrations = serve_recals_.load(kOrder);
-    c.cells_reprogrammed = serve_cells_.load(kOrder);
-    return c;
-  }
-
-  static void reset_serve() noexcept {
-    serve_served_.store(0, kOrder);
-    serve_shed_.store(0, kOrder);
-    serve_degraded_.store(0, kOrder);
-    serve_recals_.store(0, kOrder);
-    serve_cells_.store(0, kOrder);
-  }
-
-  /// Snapshot of the task-scheduler counters (monotonic since process start
-  /// or the last reset_sched()); bumped by util::parallel as jobs dispatch.
-  struct SchedCounts {
-    std::uint64_t jobs = 0;            ///< batches dispatched to the pool
-    std::uint64_t inline_jobs = 0;     ///< batches run inline (below the work floor / no lanes)
-    std::uint64_t tasks = 0;           ///< tasks executed by their submitting lane
-    std::uint64_t stolen_tasks = 0;    ///< tasks executed by a different lane
-    std::uint64_t steal_failures = 0;  ///< full deque scans that found nothing
-    std::uint64_t nested_cooperative = 0;  ///< nested jobs run via shared deques
-    std::uint64_t nested_inlined = 0;      ///< nested jobs degraded to inline serial
-  };
-
-  static void count_sched_job() noexcept { sched_jobs_.fetch_add(1, kOrder); }
-  static void count_sched_inline_job() noexcept { sched_inline_jobs_.fetch_add(1, kOrder); }
+  static void count_sched_job() noexcept { bump(sched_.jobs); }
+  static void count_sched_inline_job() noexcept { bump(sched_.inline_jobs); }
   static void count_sched_task(bool stolen) noexcept {
-    (stolen ? sched_stolen_tasks_ : sched_tasks_).fetch_add(1, kOrder);
+    bump(stolen ? sched_.stolen_tasks : sched_.tasks);
   }
-  static void count_steal_failure() noexcept { sched_steal_failures_.fetch_add(1, kOrder); }
+  static void count_steal_failure() noexcept { bump(sched_.steal_failures); }
   static void count_sched_nested(bool cooperative) noexcept {
-    (cooperative ? sched_nested_coop_ : sched_nested_inline_).fetch_add(1, kOrder);
+    bump(cooperative ? sched_.nested_cooperative : sched_.nested_inlined);
   }
 
-  static SchedCounts sched() noexcept {
-    SchedCounts c;
-    c.jobs = sched_jobs_.load(kOrder);
-    c.inline_jobs = sched_inline_jobs_.load(kOrder);
-    c.tasks = sched_tasks_.load(kOrder);
-    c.stolen_tasks = sched_stolen_tasks_.load(kOrder);
-    c.steal_failures = sched_steal_failures_.load(kOrder);
-    c.nested_cooperative = sched_nested_coop_.load(kOrder);
-    c.nested_inlined = sched_nested_inline_.load(kOrder);
-    return c;
-  }
+  /// Snapshots, monotonic since process start or the last reset.
+  static NodalCounts nodal() noexcept { return load(nodal_); }
+  static ServeCounts serve() noexcept { return load(serve_); }
+  static SchedCounts sched() noexcept { return load(sched_); }
 
-  static void reset_sched() noexcept {
-    sched_jobs_.store(0, kOrder);
-    sched_inline_jobs_.store(0, kOrder);
-    sched_tasks_.store(0, kOrder);
-    sched_stolen_tasks_.store(0, kOrder);
-    sched_steal_failures_.store(0, kOrder);
-    sched_nested_coop_.store(0, kOrder);
-    sched_nested_inline_.store(0, kOrder);
-  }
+  static void reset_nodal() noexcept { reset(nodal_); }
+  static void reset_serve() noexcept { reset(serve_); }
 
   /// Fold an externally measured delta into the counters — the shard pool
   /// uses this to credit the parent process with the nodal/scheduler work
   /// its forked workers reported over the wire, so per-run deltas keep
   /// meaning "work done on behalf of this run" at any shard count.
-  static void add_nodal(const NodalCounts& d) noexcept {
-    nodal_factorizations_.fetch_add(d.factorizations, kOrder);
-    nodal_direct_solves_.fetch_add(d.direct_solves, kOrder);
-    nodal_gs_solves_.fetch_add(d.gs_solves, kOrder);
-    nodal_update_declines_.fetch_add(d.update_declines, kOrder);
-  }
-
-  static void add_sched(const SchedCounts& d) noexcept {
-    sched_jobs_.fetch_add(d.jobs, kOrder);
-    sched_inline_jobs_.fetch_add(d.inline_jobs, kOrder);
-    sched_tasks_.fetch_add(d.tasks, kOrder);
-    sched_stolen_tasks_.fetch_add(d.stolen_tasks, kOrder);
-    sched_steal_failures_.fetch_add(d.steal_failures, kOrder);
-    sched_nested_coop_.fetch_add(d.nested_cooperative, kOrder);
-    sched_nested_inline_.fetch_add(d.nested_inlined, kOrder);
-  }
-
-  static NodalCounts nodal() noexcept {
-    NodalCounts c;
-    c.factorizations = nodal_factorizations_.load(kOrder);
-    c.direct_solves = nodal_direct_solves_.load(kOrder);
-    c.gs_solves = nodal_gs_solves_.load(kOrder);
-    c.update_declines = nodal_update_declines_.load(kOrder);
-    return c;
-  }
-
-  static void reset_nodal() noexcept {
-    nodal_factorizations_.store(0, kOrder);
-    nodal_direct_solves_.store(0, kOrder);
-    nodal_gs_solves_.store(0, kOrder);
-    nodal_update_declines_.store(0, kOrder);
-  }
+  static void add_nodal(const NodalCounts& d) noexcept { add(nodal_, d); }
+  static void add_sched(const SchedCounts& d) noexcept { add(sched_, d); }
 
  private:
   static constexpr std::memory_order kOrder = std::memory_order_relaxed;
-  inline static std::atomic<std::uint64_t> nodal_factorizations_{0};
-  inline static std::atomic<std::uint64_t> nodal_direct_solves_{0};
-  inline static std::atomic<std::uint64_t> nodal_gs_solves_{0};
-  inline static std::atomic<std::uint64_t> nodal_update_declines_{0};
-  inline static std::atomic<std::uint64_t> serve_served_{0};
-  inline static std::atomic<std::uint64_t> serve_shed_{0};
-  inline static std::atomic<std::uint64_t> serve_degraded_{0};
-  inline static std::atomic<std::uint64_t> serve_recals_{0};
-  inline static std::atomic<std::uint64_t> serve_cells_{0};
-  inline static std::atomic<std::uint64_t> sched_jobs_{0};
-  inline static std::atomic<std::uint64_t> sched_inline_jobs_{0};
-  inline static std::atomic<std::uint64_t> sched_tasks_{0};
-  inline static std::atomic<std::uint64_t> sched_stolen_tasks_{0};
-  inline static std::atomic<std::uint64_t> sched_steal_failures_{0};
-  inline static std::atomic<std::uint64_t> sched_nested_coop_{0};
-  inline static std::atomic<std::uint64_t> sched_nested_inline_{0};
+  using Cell = std::atomic_ref<std::uint64_t>;
+  static_assert(alignof(std::uint64_t) >= Cell::required_alignment);
+
+  static void bump(std::uint64_t& cell, std::uint64_t n = 1) noexcept {
+    Cell(cell).fetch_add(n, kOrder);
+  }
+  template <class Counts>
+  static Counts load(Counts& cells) noexcept {
+    Counts c;
+    Counts::each([](std::uint64_t& v, std::uint64_t& cell) { v = Cell(cell).load(kOrder); }, c,
+                 cells);
+    return c;
+  }
+  template <class Counts>
+  static void add(Counts& cells, const Counts& d) noexcept {
+    Counts::each([](std::uint64_t& cell, std::uint64_t v) { bump(cell, v); }, cells, d);
+  }
+  template <class Counts>
+  static void reset(Counts& cells) noexcept {
+    Counts::each([](std::uint64_t& cell) { Cell(cell).store(0, kOrder); }, cells);
+  }
+
+  // Plain structs, touched only through std::atomic_ref, so the one field
+  // list per struct also drives the snapshot, the fold and the reset.
+  inline static NodalCounts nodal_{};
+  inline static ServeCounts serve_{};
+  inline static SchedCounts sched_{};
 };
 
 }  // namespace xlds::core

@@ -492,26 +492,9 @@ ExplorationResult explore(const EngineConfig& config) {
   result.stats.surrogate_budget_units =
       static_cast<double>(result.stats.surrogate_queries) /
       static_cast<double>(config.surrogate.queries_per_charge);
-  {
-    const core::Profiler::NodalCounts now = core::Profiler::nodal();
-    core::Profiler::NodalCounts& d = result.stats.nodal;
-    d.factorizations = now.factorizations - nodal_before.factorizations;
-    d.direct_solves = now.direct_solves - nodal_before.direct_solves;
-    d.gs_solves = now.gs_solves - nodal_before.gs_solves;
-    d.update_declines = now.update_declines - nodal_before.update_declines;
-  }
-  {
-    const core::Profiler::SchedCounts now = core::Profiler::sched();
-    core::Profiler::SchedCounts& d = result.stats.scheduler.counts;
-    d.jobs = now.jobs - sched_before.jobs;
-    d.inline_jobs = now.inline_jobs - sched_before.inline_jobs;
-    d.tasks = now.tasks - sched_before.tasks;
-    d.stolen_tasks = now.stolen_tasks - sched_before.stolen_tasks;
-    d.steal_failures = now.steal_failures - sched_before.steal_failures;
-    d.nested_cooperative = now.nested_cooperative - sched_before.nested_cooperative;
-    d.nested_inlined = now.nested_inlined - sched_before.nested_inlined;
-    result.stats.scheduler.tier_busy_s = backend.tier_busy_seconds();
-  }
+  result.stats.nodal = core::Profiler::nodal() - nodal_before;
+  result.stats.scheduler.counts = core::Profiler::sched() - sched_before;
+  result.stats.scheduler.tier_busy_s = backend.tier_busy_seconds();
   if (journal) {
     result.stats.resumed = journal->open_info().existed;
     result.stats.journal_replayed = journal->open_info().replayed;

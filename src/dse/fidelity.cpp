@@ -14,6 +14,7 @@
 #include "kernels/sampler.hpp"
 #include "nvsim/explorer.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 #include "util/matrix.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -314,19 +315,19 @@ double FidelityLadder::cost_estimate(const core::DesignPoint& p, Fidelity tier) 
 }
 
 std::uint64_t FidelityLadder::hash(std::uint64_t h) const {
-  h = fnv1a64("xlds-ladder-v1", 14, h);
-  const auto mix = [&h](double v) { h = fnv1a64(&v, sizeof v, h); };
+  h = util::fnv1a64("xlds-ladder-v1", 14, h);
+  const auto mix = [&h](double v) { h = util::fnv1a64(&v, sizeof v, h); };
   // Hash the tier in the pre-surrogate numbering (analytic = 0): the
   // surrogate rung changed the enum values but not the physics a stored FOM
   // depends on, and legacy journals must keep matching.
   const std::uint32_t legacy_max = static_cast<std::uint32_t>(config_.max_fidelity) - 1;
-  h = fnv1a64(&legacy_max, sizeof legacy_max, h);
+  h = util::fnv1a64(&legacy_max, sizeof legacy_max, h);
   mix(config_.variation_sigma_rel);
   mix(config_.ir_drop_sensitivity);
   mix(config_.mc_fault_rate);
   mix(config_.mc_age_s);
-  h = fnv1a64(&config_.mc_seed, sizeof config_.mc_seed, h);
-  return fnv1a64(profile_.name.data(), profile_.name.size(), h);
+  h = util::fnv1a64(&config_.mc_seed, sizeof config_.mc_seed, h);
+  return util::fnv1a64(profile_.name.data(), profile_.name.size(), h);
 }
 
 }  // namespace xlds::dse

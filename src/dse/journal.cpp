@@ -1,77 +1,57 @@
 #include "dse/journal.hpp"
 
-#include <cstring>
-#include <filesystem>
-#include <iterator>
-#include <type_traits>
-
+#include "core/fom_codec.hpp"
 #include "dse/fidelity.hpp"
-#include "dse/space.hpp"
 #include "util/error.hpp"
 
 namespace xlds::dse {
 
 namespace {
 
-constexpr char kMagic[8] = {'X', 'L', 'D', 'S', 'J', 'N', 'L', '1'};
 constexpr std::uint32_t kVersionLegacy3Tier = 1;
 constexpr std::uint32_t kVersion = 2;
-constexpr std::size_t kHeaderSize = sizeof(kMagic) + sizeof(std::uint32_t) + sizeof(std::uint64_t);
-// Sanity bound on one record: a note longer than this is a corrupt length
-// field, not a real note.
-constexpr std::uint32_t kMaxBodyLen = 1u << 20;
+// Body bound: a note longer than this is a corrupt length field, not a real
+// note.
+constexpr util::RecordFormat kFormat{"journal", "XLDSJNL1",
+                                     8 + sizeof(std::uint32_t) + sizeof(std::uint64_t), 1u << 20};
 
-template <class T>
-void append_raw(std::string& buf, const T& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const char* p = reinterpret_cast<const char*>(&v);
-  buf.append(p, sizeof v);
+std::string header_bytes(std::uint64_t job_hash) {
+  std::string header(kFormat.magic);
+  util::put_raw(header, kVersion);
+  util::put_raw(header, job_hash);
+  return header;
 }
 
-template <class T>
-bool read_raw(const std::string& buf, std::size_t& pos, T& out) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  if (pos + sizeof out > buf.size()) return false;
-  std::memcpy(&out, buf.data() + pos, sizeof out);
-  pos += sizeof out;
-  return true;
+/// Reads the version and job hash into `info`; PreconditionError on a
+/// version this build cannot read.
+void read_header(std::string_view header, const std::string& path, Journal::InspectInfo& info) {
+  std::size_t pos = kFormat.magic.size();
+  util::get_raw(header, pos, info.version);
+  util::get_raw(header, pos, info.job_hash);
+  XLDS_REQUIRE_MSG(info.version == kVersion || info.version == kVersionLegacy3Tier,
+                   "journal '" << path << "' has format version " << info.version
+                               << ", this build reads " << kVersionLegacy3Tier << " and "
+                               << kVersion);
 }
 
 std::string encode_body(const Journal::Record& r) {
   std::string body;
   body.reserve(64 + r.fom.note.size());
-  append_raw(body, r.key);
-  append_raw(body, r.fidelity);
-  append_raw(body, static_cast<std::uint8_t>(r.fom.feasible ? 1 : 0));
-  body.append(3, '\0');
-  append_raw(body, r.fom.latency);
-  append_raw(body, r.fom.energy);
-  append_raw(body, r.fom.area_mm2);
-  append_raw(body, r.fom.accuracy);
-  append_raw(body, r.uncertainty);
-  append_raw(body, static_cast<std::uint32_t>(r.fom.note.size()));
-  body.append(r.fom.note);
+  util::put_raw(body, r.key);
+  util::put_raw(body, r.fidelity);
+  core::put_fom_values(body, r.fom);
+  util::put_raw(body, r.uncertainty);
+  util::put_string(body, r.fom.note);
   return body;
 }
 
-bool decode_body(const std::string& body, std::uint32_t version, Journal::Record& r) {
+bool decode_body(std::string_view body, std::uint32_t version, Journal::Record& r) {
   std::size_t pos = 0;
-  std::uint8_t feasible = 0;
-  std::uint32_t note_len = 0;
-  if (!read_raw(body, pos, r.key) || !read_raw(body, pos, r.fidelity) ||
-      !read_raw(body, pos, feasible))
+  if (!util::get_raw(body, pos, r.key) || !util::get_raw(body, pos, r.fidelity) ||
+      !core::get_fom_values(body, pos, r.fom) ||
+      (version == kVersion && !util::get_raw(body, pos, r.uncertainty)) ||
+      !util::get_string(body, pos, r.fom.note) || pos != body.size())
     return false;
-  pos += 3;  // padding
-  if (pos > body.size() || !read_raw(body, pos, r.fom.latency) ||
-      !read_raw(body, pos, r.fom.energy) || !read_raw(body, pos, r.fom.area_mm2) ||
-      !read_raw(body, pos, r.fom.accuracy))
-    return false;
-  r.uncertainty = 0.0;
-  if (version >= kVersion && !read_raw(body, pos, r.uncertainty)) return false;
-  if (!read_raw(body, pos, note_len)) return false;
-  if (pos + note_len != body.size()) return false;
-  r.fom.feasible = feasible != 0;
-  r.fom.note.assign(body, pos, note_len);
   // Legacy tiers were numbered before the surrogate rung existed; shifting
   // them is exactly the enum renumbering, so FOM semantics are unchanged.
   if (version == kVersionLegacy3Tier)
@@ -79,143 +59,56 @@ bool decode_body(const std::string& body, std::uint32_t version, Journal::Record
   return true;
 }
 
-struct Parsed {
-  std::uint32_t version = 0;
-  std::uint64_t job_hash = 0;
-  std::vector<Journal::Record> records;
-  std::size_t good_end = 0;  ///< byte offset past the last intact record
-};
-
-/// Parse header + intact record prefix of raw journal bytes.  Never touches
-/// the filesystem; PreconditionError on a bad magic or unknown version.
-Parsed parse(const std::string& contents, const std::string& path) {
-  XLDS_REQUIRE_MSG(contents.size() >= kHeaderSize &&
-                       std::memcmp(contents.data(), kMagic, sizeof kMagic) == 0,
-                   "'" << path << "' is not an XLDS journal");
-  Parsed out;
-  std::size_t pos = sizeof kMagic;
-  read_raw(contents, pos, out.version);
-  read_raw(contents, pos, out.job_hash);
-  XLDS_REQUIRE_MSG(out.version == kVersion || out.version == kVersionLegacy3Tier,
-                   "journal '" << path << "' has format version " << out.version
-                               << ", this build reads " << kVersionLegacy3Tier << " and "
-                               << kVersion);
-  out.good_end = pos;
-
-  // Replay the intact record prefix; stop at the first torn or corrupt one.
-  while (pos < contents.size()) {
-    std::uint32_t body_len = 0;
-    std::size_t scan = pos;
-    if (!read_raw(contents, scan, body_len) || body_len > kMaxBodyLen ||
-        scan + body_len + sizeof(std::uint64_t) > contents.size())
-      break;  // torn tail
-    const std::string body = contents.substr(scan, body_len);
-    scan += body_len;
-    std::uint64_t checksum = 0;
-    read_raw(contents, scan, checksum);
+/// Decoder that appends each record to `info` (whose version the header
+/// check has read by then).
+util::BodyDecoder collect(Journal::InspectInfo& info) {
+  return [&info](std::string_view body) {
     Journal::Record r;
-    if (checksum != fnv1a64(body.data(), body.size()) || !decode_body(body, out.version, r))
-      break;  // corrupt record: distrust everything after it
-    out.records.push_back(std::move(r));
-    pos = scan;
-    out.good_end = pos;
-  }
-  return out;
-}
-
-void frame_record(std::string& buf, const Journal::Record& r) {
-  const std::string body = encode_body(r);
-  append_raw(buf, static_cast<std::uint32_t>(body.size()));
-  buf.append(body);
-  append_raw(buf, fnv1a64(body.data(), body.size()));
-}
-
-std::string header_bytes(std::uint64_t job_hash) {
-  std::string header;
-  header.append(kMagic, sizeof kMagic);
-  append_raw(header, kVersion);
-  append_raw(header, job_hash);
-  return header;
+    if (!decode_body(body, info.version, r)) return false;
+    info.records.push_back(std::move(r));
+    return true;
+  };
 }
 
 }  // namespace
 
 Journal::Journal(std::string path, std::uint64_t job_hash)
     : path_(std::move(path)), job_hash_(job_hash) {
-  XLDS_REQUIRE(!path_.empty());
-
-  std::string contents;
-  {
-    std::ifstream in(path_, std::ios::binary);
-    if (in) {
-      open_info_.existed = true;
-      contents.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
-    }
-  }
-
-  if (open_info_.existed) {
-    Parsed parsed = parse(contents, path_);
-    XLDS_REQUIRE_MSG(parsed.job_hash == job_hash_,
+  InspectInfo replayed;
+  const auto check = [&](std::string_view header) {
+    read_header(header, path_, replayed);
+    XLDS_REQUIRE_MSG(replayed.job_hash == job_hash_,
                      "journal '" << path_ << "' belongs to a different job "
                                  << "(space/application/fidelity settings changed); "
                                  << "delete it or point --journal elsewhere");
-    records_ = std::move(parsed.records);
-    open_info_.replayed = records_.size();
-    open_info_.dropped_bytes = contents.size() - parsed.good_end;
+  };
+  file_ = util::RecordFile(path_, kFormat, header_bytes(job_hash_), check, collect(replayed));
+  records_ = std::move(replayed.records);
+  open_info_.existed = file_.existed();
+  open_info_.replayed = records_.size();
+  open_info_.dropped_bytes = file_.dropped_bytes();
 
-    if (parsed.version != kVersion) {
-      // Upgrade in place: re-frame every intact record in the v2 layout and
-      // atomically swap the file, so after this point only one version ever
-      // exists on disk.  The torn tail (if any) is dropped by construction.
-      std::string fresh = header_bytes(job_hash_);
-      for (const Record& r : records_) frame_record(fresh, r);
-      const std::string tmp = path_ + ".upgrade.tmp";
-      {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        XLDS_REQUIRE_MSG(out.is_open(), "cannot write journal upgrade '" << tmp << "'");
-        out.write(fresh.data(), static_cast<std::streamsize>(fresh.size()));
-        out.flush();
-        XLDS_REQUIRE_MSG(out.good(), "journal upgrade write to '" << tmp << "' failed");
-      }
-      std::filesystem::rename(tmp, path_);
-      open_info_.upgraded = true;
-    } else if (open_info_.dropped_bytes > 0) {
-      std::filesystem::resize_file(path_, parsed.good_end);
-    }
-  }
-
-  out_.open(path_, std::ios::binary | std::ios::app);
-  XLDS_REQUIRE_MSG(out_.is_open(), "cannot open journal '" << path_ << "' for append");
-  if (!open_info_.existed) {
-    const std::string header = header_bytes(job_hash_);
-    out_.write(header.data(), static_cast<std::streamsize>(header.size()));
-    out_.flush();
+  if (open_info_.existed && replayed.version != kVersion) {
+    // Upgrade in place: re-frame every intact record in the v2 layout and
+    // atomically swap the file, so after this point only one version ever
+    // exists on disk.
+    std::string fresh = header_bytes(job_hash_);
+    for (const Record& r : records_) util::put_frame(fresh, encode_body(r));
+    file_.replace(fresh);
+    open_info_.upgraded = true;
   }
 }
 
 void Journal::append(const Record& r) {
-  std::string framed;
-  framed.reserve(76 + r.fom.note.size());
-  frame_record(framed, r);
-  out_.write(framed.data(), static_cast<std::streamsize>(framed.size()));
-  out_.flush();
-  XLDS_REQUIRE_MSG(out_.good(), "journal append to '" << path_ << "' failed");
+  XLDS_REQUIRE_MSG(file_.append(encode_body(r)), "journal append to '" << path_ << "' failed");
   ++appended_;
 }
 
 Journal::InspectInfo Journal::inspect(const std::string& path) {
-  std::string contents;
-  {
-    std::ifstream in(path, std::ios::binary);
-    XLDS_REQUIRE_MSG(in, "cannot read journal '" << path << "'");
-    contents.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
-  }
-  Parsed parsed = parse(contents, path);
   InspectInfo info;
-  info.version = parsed.version;
-  info.job_hash = parsed.job_hash;
-  info.records = std::move(parsed.records);
-  info.dropped_bytes = contents.size() - parsed.good_end;
+  info.dropped_bytes = util::RecordFile::inspect(
+      path, kFormat, [&](std::string_view header) { read_header(header, path, info); },
+      collect(info));
   return info;
 }
 

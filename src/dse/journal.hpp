@@ -4,13 +4,12 @@
 // ^C'd by an impatient user — must not re-pay for the evaluations it already
 // finished: the expensive tiers of the fidelity ladder cost seconds per
 // point.  The journal makes every completed evaluation durable the moment it
-// finishes:
+// finishes.  It is a record file of the shared codec (util/record.hpp: the
+// frame, the append and the torn-tail replay) with this header and body:
 //
 //   header:  magic "XLDSJNL1" | format version u32 | job hash u64
-//   record:  body length u32 | body | FNV-1a-64 checksum of the body
-//   body v2: point key u64 | fidelity u32 | feasible u8 | pad[3]
-//            | latency f64 | energy f64 | area_mm2 f64 | accuracy f64
-//            | uncertainty f64 | note length u32 | note bytes
+//   body v2: point key u64 | fidelity u32 | FOM values (core/fom_codec.hpp)
+//            | uncertainty f64 | FOM note
 //
 // Version history.  v1 (three-tier ladder: analytic = 0) had no uncertainty
 // field and numbered tiers before the surrogate rung existed.  Opening a v1
@@ -21,14 +20,11 @@
 // model's relative-std next to each prediction so a resumed run replays not
 // just the predicted FOM but the uncertainty the promotion policy saw.
 //
-// Append is write + flush; there is no in-place mutation, so the only
-// possible corruption is a torn tail from a mid-write crash.  Opening an
-// existing journal replays records until the first torn or checksum-failed
-// one and truncates the file there — everything before it is trusted,
-// everything after is garbage by construction.  The job hash (space, app,
-// fidelity settings — everything a FOM value depends on, deliberately *not*
-// the search seed/strategy/budget, which only affect which points get
-// visited) stops a journal from one job from silently poisoning another.
+// Opening an existing journal replays the intact record prefix and
+// truncates a torn tail.  The job hash (space, app, fidelity settings —
+// everything a FOM value depends on, deliberately *not* the search
+// seed/strategy/budget, which only affect which points get visited) stops a
+// journal from one job from silently poisoning another.
 //
 // Records are keyed by (point index, fidelity tier): replaying a journal
 // into a memo map is exactly the dedup a stochastic search needs, and a
@@ -37,11 +33,11 @@
 #pragma once
 
 #include <cstdint>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "core/evaluate.hpp"
+#include "util/record.hpp"
 
 namespace xlds::dse {
 
@@ -98,7 +94,7 @@ class Journal {
   std::uint64_t job_hash_ = 0;
   OpenInfo open_info_;
   std::vector<Record> records_;
-  std::ofstream out_;
+  util::RecordFile file_;
   std::size_t appended_ = 0;
 };
 

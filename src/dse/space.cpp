@@ -5,25 +5,18 @@
 
 namespace xlds::dse {
 
-// Alias of the framework-wide hash (util/hash.hpp) kept for the existing
-// dse-layer call sites; both must agree byte-for-byte or the result cache
-// could never be shared with journal-compatible jobs.
-std::uint64_t fnv1a64(const void* data, std::size_t n, std::uint64_t h) {
-  return util::fnv1a64(data, n, h);
-}
-
 namespace {
 
 std::uint64_t hash_axes(const core::SpaceAxes& axes, const std::string& application) {
-  std::uint64_t h = fnv1a64("xlds-space-v1", 13);
-  const auto mix_int = [&h](std::uint32_t v) { h = fnv1a64(&v, sizeof v, h); };
+  std::uint64_t h = util::fnv1a64("xlds-space-v1", 13);
+  const auto mix_int = [&h](std::uint32_t v) { h = util::fnv1a64(&v, sizeof v, h); };
   mix_int(static_cast<std::uint32_t>(axes.devices.size()));
   for (const auto d : axes.devices) mix_int(static_cast<std::uint32_t>(d));
   mix_int(static_cast<std::uint32_t>(axes.archs.size()));
   for (const auto a : axes.archs) mix_int(static_cast<std::uint32_t>(a));
   mix_int(static_cast<std::uint32_t>(axes.algos.size()));
   for (const auto g : axes.algos) mix_int(static_cast<std::uint32_t>(g));
-  return fnv1a64(application.data(), application.size(), h);
+  return util::fnv1a64(application.data(), application.size(), h);
 }
 
 }  // namespace

@@ -18,10 +18,6 @@
 
 namespace xlds::dse {
 
-/// FNV-1a 64-bit over a byte range; `h` chains multiple ranges.
-std::uint64_t fnv1a64(const void* data, std::size_t n,
-                      std::uint64_t h = 14695981039346656037ull);
-
 class SearchSpace {
  public:
   /// Axes are resolved (empty -> full) at construction.

@@ -1,7 +1,7 @@
 // Wire protocol between the DSE parent process and its evaluation shards.
 //
-// Transport: a stream fd (socketpair) carrying length-prefixed, checksummed
-// frames — the journal's framing discipline applied to a pipe:
+// Transport: a stream fd (socketpair) carrying the frames of the shared
+// record codec (util/record.hpp), the journal's framing applied to a pipe:
 //
 //   frame:  body length u32 | body | FNV-1a-64 checksum of the body
 //   body:   message type u8 | type-specific payload (fixed-width LE fields)
@@ -15,17 +15,22 @@
 //                three axis enums + the parent-side space index (echoed back
 //                verbatim so the parent never re-derives placement)
 //   EvalResult   (worker -> parent) request id | tier | n FOMs in request
-//                order | busy-ns | nodal + scheduler profiler deltas
+//                order (core/fom_codec.hpp) | busy-ns | nodal + scheduler
+//                profiler deltas, each every field of its counts struct in
+//                declaration order (NodalCounts::each / SchedCounts::each;
+//                the nodal block carries incremental_updates too — both
+//                ends are one binary and nothing stores these bytes)
 //   EvalError    (worker -> parent) request id | what() of the evaluation
 //                exception — forwarded so the parent rethrows the same
 //                message the in-process path would have thrown
 //   Shutdown     drain and _exit(0)
 //
-// Decoders return false on any malformed body (truncated field, trailing
-// junk, wrong type byte) and read_frame() reports a checksum mismatch as
-// kCorrupt — the parent treats either on a worker channel as worker death.
-// Values survive the trip bit-exactly (doubles are memcpy'd, never printed),
-// which is what lets the merged journal stay byte-identical to in-process.
+// Decoders return false on any malformed body (truncated field, a count
+// the body cannot hold, trailing junk, wrong type byte) and read_frame()
+// reports a checksum mismatch as kCorrupt — the parent treats either on a
+// worker channel as worker death.  Values survive the trip bit-exactly
+// (doubles are memcpy'd, never printed), which is what lets the merged
+// journal stay byte-identical to in-process.
 #pragma once
 
 #include <cstdint>

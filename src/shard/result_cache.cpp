@@ -1,10 +1,6 @@
 #include "shard/result_cache.hpp"
 
-#include <cstring>
-#include <filesystem>
-#include <iterator>
-#include <type_traits>
-
+#include "core/fom_codec.hpp"
 #include "util/error.hpp"
 #include "util/hash.hpp"
 
@@ -21,180 +17,107 @@ std::uint64_t cache_point_hash(const core::DesignPoint& p) {
 
 namespace {
 
-constexpr char kMagic[8] = {'X', 'L', 'D', 'S', 'R', 'C', 'H', '1'};
 constexpr std::uint32_t kVersion = 1;
-constexpr std::size_t kHeaderSize = sizeof(kMagic) + sizeof(std::uint32_t);
-constexpr std::uint32_t kMaxBodyLen = 1u << 20;
+constexpr util::RecordFormat kFormat{"result cache", "XLDSRCH1", 8 + sizeof(std::uint32_t),
+                                     1u << 20};
 
 constexpr std::uint8_t kRecResult = 1;
 constexpr std::uint8_t kRecSession = 2;
 
-template <class T>
-void append_raw(std::string& buf, const T& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const char* p = reinterpret_cast<const char*>(&v);
-  buf.append(p, sizeof v);
+std::string header_bytes() {
+  std::string header(kFormat.magic);
+  util::put_raw(header, kVersion);
+  return header;
 }
 
-template <class T>
-bool read_raw(const std::string& buf, std::size_t& pos, T& out) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  if (pos + sizeof out > buf.size()) return false;
-  std::memcpy(&out, buf.data() + pos, sizeof out);
-  pos += sizeof out;
-  return true;
+/// Reads the version into `info`; PreconditionError on one this build
+/// cannot read.
+void read_header(std::string_view header, const std::string& path,
+                 ResultCache::InspectInfo& info) {
+  std::size_t pos = kFormat.magic.size();
+  util::get_raw(header, pos, info.version);
+  XLDS_REQUIRE_MSG(info.version == kVersion, "result cache '" << path << "' has format version "
+                                                              << info.version
+                                                              << ", this build reads " << kVersion);
 }
 
 std::string encode_result(std::uint64_t space_hash, std::uint64_t point_hash,
                           std::uint32_t tier, const core::Fom& fom) {
   std::string body;
   body.reserve(64 + fom.note.size());
-  append_raw(body, kRecResult);
-  append_raw(body, space_hash);
-  append_raw(body, point_hash);
-  append_raw(body, tier);
-  append_raw(body, static_cast<std::uint8_t>(fom.feasible ? 1 : 0));
-  body.append(3, '\0');
-  append_raw(body, fom.latency);
-  append_raw(body, fom.energy);
-  append_raw(body, fom.area_mm2);
-  append_raw(body, fom.accuracy);
-  append_raw(body, static_cast<std::uint32_t>(fom.note.size()));
-  body.append(fom.note);
+  util::put_raw(body, kRecResult);
+  util::put_raw(body, space_hash);
+  util::put_raw(body, point_hash);
+  util::put_raw(body, tier);
+  core::put_fom(body, fom);
   return body;
 }
 
-bool decode_result(const std::string& body, ResultCache::ResultRecord& r) {
-  std::size_t pos = 1;  // past the type byte
-  std::uint8_t feasible = 0;
-  std::uint32_t note_len = 0;
-  if (!read_raw(body, pos, r.space_hash) || !read_raw(body, pos, r.point_hash) ||
-      !read_raw(body, pos, r.tier) || !read_raw(body, pos, feasible))
-    return false;
-  pos += 3;  // padding
-  if (pos > body.size() || !read_raw(body, pos, r.fom.latency) ||
-      !read_raw(body, pos, r.fom.energy) || !read_raw(body, pos, r.fom.area_mm2) ||
-      !read_raw(body, pos, r.fom.accuracy) || !read_raw(body, pos, note_len))
-    return false;
-  if (pos + note_len != body.size()) return false;
-  r.fom.feasible = feasible != 0;
-  r.fom.note.assign(body, pos, note_len);
-  return true;
+/// False on any body that is not a well-formed result record.
+bool decode_result(std::string_view body, ResultCache::ResultRecord& r) {
+  std::size_t pos = 0;
+  std::uint8_t type = 0;
+  return util::get_raw(body, pos, type) && type == kRecResult &&
+         util::get_raw(body, pos, r.space_hash) && util::get_raw(body, pos, r.point_hash) &&
+         util::get_raw(body, pos, r.tier) && core::get_fom(body, pos, r.fom) &&
+         pos == body.size();
 }
 
 std::string encode_session(std::uint64_t space_hash, std::uint64_t hits,
                            std::uint64_t misses) {
   std::string body;
-  append_raw(body, kRecSession);
-  append_raw(body, space_hash);
-  append_raw(body, hits);
-  append_raw(body, misses);
+  util::put_raw(body, kRecSession);
+  util::put_raw(body, space_hash);
+  util::put_raw(body, hits);
+  util::put_raw(body, misses);
   return body;
 }
 
-bool decode_session(const std::string& body, ResultCache::SessionRecord& s) {
-  std::size_t pos = 1;
-  return read_raw(body, pos, s.space_hash) && read_raw(body, pos, s.hits) &&
-         read_raw(body, pos, s.misses) && pos == body.size();
+/// False on any body that is not a well-formed session record.
+bool decode_session(std::string_view body, ResultCache::SessionRecord& s) {
+  std::size_t pos = 0;
+  std::uint8_t type = 0;
+  return util::get_raw(body, pos, type) && type == kRecSession &&
+         util::get_raw(body, pos, s.space_hash) && util::get_raw(body, pos, s.hits) &&
+         util::get_raw(body, pos, s.misses) && pos == body.size();
 }
 
-void frame(std::string& buf, const std::string& body) {
-  append_raw(buf, static_cast<std::uint32_t>(body.size()));
-  buf.append(body);
-  append_raw(buf, util::fnv1a64(body.data(), body.size()));
-}
-
-struct Parsed {
-  std::uint32_t version = 0;
-  std::vector<ResultCache::ResultRecord> results;
-  std::vector<ResultCache::SessionRecord> sessions;
-  std::size_t good_end = 0;
-};
-
-Parsed parse(const std::string& contents, const std::string& path) {
-  XLDS_REQUIRE_MSG(contents.size() >= kHeaderSize &&
-                       std::memcmp(contents.data(), kMagic, sizeof kMagic) == 0,
-                   "'" << path << "' is not an XLDS result cache");
-  Parsed out;
-  std::size_t pos = sizeof kMagic;
-  read_raw(contents, pos, out.version);
-  XLDS_REQUIRE_MSG(out.version == kVersion, "result cache '" << path << "' has format version "
-                                                             << out.version << ", this build reads "
-                                                             << kVersion);
-  out.good_end = pos;
-
-  // Replay the intact record prefix; stop at the first torn or corrupt one.
-  while (pos < contents.size()) {
-    std::uint32_t body_len = 0;
-    std::size_t scan = pos;
-    if (!read_raw(contents, scan, body_len) || body_len > kMaxBodyLen ||
-        scan + body_len + sizeof(std::uint64_t) > contents.size())
-      break;  // torn tail
-    const std::string body = contents.substr(scan, body_len);
-    scan += body_len;
-    std::uint64_t checksum = 0;
-    read_raw(contents, scan, checksum);
-    if (checksum != util::fnv1a64(body.data(), body.size()) || body.empty())
-      break;  // corrupt record: distrust everything after it
-    const std::uint8_t type = static_cast<std::uint8_t>(body[0]);
-    if (type == kRecResult) {
-      ResultCache::ResultRecord r;
-      if (!decode_result(body, r)) break;
-      out.results.push_back(std::move(r));
-    } else if (type == kRecSession) {
-      ResultCache::SessionRecord s;
-      if (!decode_session(body, s)) break;
-      out.sessions.push_back(s);
-    } else {
-      break;  // unknown record type: written by a future version? stop here
-    }
-    pos = scan;
-    out.good_end = pos;
-  }
-  return out;
+/// Decoder that appends each record to `info`.  A body that is neither
+/// record type (malformed, or a type a future version writes) stops the
+/// replay there.
+util::BodyDecoder collect(ResultCache::InspectInfo& info) {
+  return [&info](std::string_view body) {
+    ResultCache::ResultRecord r;
+    ResultCache::SessionRecord s;
+    if (decode_result(body, r))
+      info.results.push_back(std::move(r));
+    else if (decode_session(body, s))
+      info.sessions.push_back(s);
+    else
+      return false;
+    return true;
+  };
 }
 
 }  // namespace
 
 ResultCache::ResultCache(std::string path) : path_(std::move(path)) {
-  XLDS_REQUIRE(!path_.empty());
-
-  std::string contents;
-  {
-    std::ifstream in(path_, std::ios::binary);
-    if (in) {
-      stats_.existed = true;
-      contents.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
-    }
-  }
-
-  if (stats_.existed) {
-    Parsed parsed = parse(contents, path_);
-    for (ResultCache::ResultRecord& r : parsed.results)
-      index_[Key{r.space_hash, r.point_hash, r.tier}] = std::move(r.fom);
-    stats_.loaded = parsed.results.size();
-    stats_.dropped_bytes = contents.size() - parsed.good_end;
-    if (stats_.dropped_bytes > 0) std::filesystem::resize_file(path_, parsed.good_end);
-  }
-
-  out_.open(path_, std::ios::binary | std::ios::app);
-  XLDS_REQUIRE_MSG(out_.is_open(), "cannot open result cache '" << path_ << "' for append");
-  if (!stats_.existed) {
-    std::string header;
-    header.append(kMagic, sizeof kMagic);
-    append_raw(header, kVersion);
-    out_.write(header.data(), static_cast<std::streamsize>(header.size()));
-    out_.flush();
-    XLDS_REQUIRE_MSG(out_.good(), "result cache header write to '" << path_ << "' failed");
-  }
+  InspectInfo replayed;
+  file_ = util::RecordFile(
+      path_, kFormat, header_bytes(),
+      [&](std::string_view header) { read_header(header, path_, replayed); }, collect(replayed));
+  for (ResultRecord& r : replayed.results)
+    index_[Key{r.space_hash, r.point_hash, r.tier}] = std::move(r.fom);
+  stats_.existed = file_.existed();
+  stats_.loaded = replayed.results.size();
+  stats_.dropped_bytes = file_.dropped_bytes();
 }
 
 ResultCache::~ResultCache() {
   if (stats_.hits + stats_.misses == 0) return;
-  std::string framed;
-  frame(framed, encode_session(session_space_, stats_.hits, stats_.misses));
-  out_.write(framed.data(), static_cast<std::streamsize>(framed.size()));
-  out_.flush();
+  // Best effort: a destructor must not throw, and a lost session record
+  // costs only hit-rate history.
+  file_.append(encode_session(session_space_, stats_.hits, stats_.misses));
 }
 
 const core::Fom* ResultCache::find(std::uint64_t space_hash, std::uint64_t point_hash,
@@ -212,29 +135,17 @@ const core::Fom* ResultCache::find(std::uint64_t space_hash, std::uint64_t point
 void ResultCache::insert(std::uint64_t space_hash, std::uint64_t point_hash,
                          std::uint32_t tier, const core::Fom& fom) {
   if (session_space_ == 0) session_space_ = space_hash;
-  std::string framed;
-  framed.reserve(80 + fom.note.size());
-  frame(framed, encode_result(space_hash, point_hash, tier, fom));
-  out_.write(framed.data(), static_cast<std::streamsize>(framed.size()));
-  out_.flush();
-  XLDS_REQUIRE_MSG(out_.good(), "result cache append to '" << path_ << "' failed");
+  XLDS_REQUIRE_MSG(file_.append(encode_result(space_hash, point_hash, tier, fom)),
+                   "result cache append to '" << path_ << "' failed");
   ++stats_.appended;
   index_[Key{space_hash, point_hash, tier}] = fom;
 }
 
 ResultCache::InspectInfo ResultCache::inspect(const std::string& path) {
-  std::string contents;
-  {
-    std::ifstream in(path, std::ios::binary);
-    XLDS_REQUIRE_MSG(in, "cannot read result cache '" << path << "'");
-    contents.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
-  }
-  Parsed parsed = parse(contents, path);
   InspectInfo info;
-  info.version = parsed.version;
-  info.results = std::move(parsed.results);
-  info.sessions = std::move(parsed.sessions);
-  info.dropped_bytes = contents.size() - parsed.good_end;
+  info.dropped_bytes = util::RecordFile::inspect(
+      path, kFormat, [&](std::string_view header) { read_header(header, path, info); },
+      collect(info));
   return info;
 }
 

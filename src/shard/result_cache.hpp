@@ -2,8 +2,8 @@
 //
 // The journal answers "what did *this job* already pay for"; the result
 // cache answers "what has *any compatible job on this machine* already paid
-// for".  It is an append-only checksummed record file — the journal's
-// durability discipline, relaxed in one deliberate way: records are keyed by
+// for".  It shares the journal's durability discipline and differs in one
+// deliberate way: records are keyed by
 //
 //   (space hash, point hash, tier)
 //
@@ -14,19 +14,18 @@
 // share entries for every overlapping point — exactly the reuse a journal's
 // per-job index keys cannot express.
 //
+// The file is a record file of the shared codec (util/record.hpp: the
+// frame, the append and the torn-tail replay) with this header and body:
+//
 //   header:  magic "XLDSRCH1" | format version u32
-//   record:  body length u32 | body | FNV-1a-64 checksum of the body
 //   body:    record type u8 | payload
-//     result:  space hash u64 | point hash u64 | tier u32 | feasible u8 |
-//              pad[3] | latency f64 | energy f64 | area_mm2 f64 |
-//              accuracy f64 | note length u32 | note bytes
+//     result:  space hash u64 | point hash u64 | tier u32 | FOM
+//              (core/fom_codec.hpp)
 //     session: space hash u64 | hits u64 | misses u64   (one per run close —
 //              the hit-rate history xlds-journal's `cache` subcommand reads)
 //
-// Append is write + flush; opening replays the intact prefix and truncates
-// the first torn or checksum-failed record, so a run killed mid-append
-// loses at most the record being written.  Values are stored bit-exactly
-// (memcpy'd doubles), so a cache hit reproduces the journal bytes a fresh
+// Replay also stops at an unknown record type.  Values are stored
+// bit-exactly, so a cache hit reproduces the journal bytes a fresh
 // evaluation would have produced — the determinism pin the bench asserts.
 //
 // Surrogate-tier predictions are deliberately *never* cached: their values
@@ -34,7 +33,6 @@
 #pragma once
 
 #include <cstdint>
-#include <fstream>
 #include <map>
 #include <string>
 #include <tuple>
@@ -42,6 +40,7 @@
 
 #include "core/design_space.hpp"
 #include "core/evaluate.hpp"
+#include "util/record.hpp"
 
 namespace xlds::shard {
 
@@ -110,7 +109,7 @@ class ResultCache {
   std::map<Key, core::Fom> index_;
   std::uint64_t session_space_ = 0;  ///< first space hash this run touched
   Stats stats_;
-  std::ofstream out_;
+  util::RecordFile file_;
 };
 
 }  // namespace xlds::shard

@@ -355,19 +355,8 @@ BatchResult ShardPool::evaluate(const std::vector<BatchItem>& items, std::uint32
         for (std::size_t k = 0; k < res.foms.size(); ++k)
           out.foms[g.begin + k] = std::move(res.foms[k]);
         out.busy_ns += res.busy_ns;
-        core::Profiler::NodalCounts& nd = out.nodal;
-        nd.factorizations += res.nodal.factorizations;
-        nd.direct_solves += res.nodal.direct_solves;
-        nd.gs_solves += res.nodal.gs_solves;
-        nd.update_declines += res.nodal.update_declines;
-        core::Profiler::SchedCounts& sd = out.sched;
-        sd.jobs += res.sched.jobs;
-        sd.inline_jobs += res.sched.inline_jobs;
-        sd.tasks += res.sched.tasks;
-        sd.stolen_tasks += res.sched.stolen_tasks;
-        sd.steal_failures += res.sched.steal_failures;
-        sd.nested_cooperative += res.sched.nested_cooperative;
-        sd.nested_inlined += res.sched.nested_inlined;
+        out.nodal += res.nodal;
+        out.sched += res.sched;
         ++done_groups;
         merged_points += g.end - g.begin;
         fire_kill_hook();

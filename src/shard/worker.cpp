@@ -9,33 +9,6 @@
 
 namespace xlds::shard {
 
-namespace {
-
-core::Profiler::NodalCounts nodal_delta(const core::Profiler::NodalCounts& a,
-                                        const core::Profiler::NodalCounts& b) {
-  core::Profiler::NodalCounts d;
-  d.factorizations = b.factorizations - a.factorizations;
-  d.direct_solves = b.direct_solves - a.direct_solves;
-  d.gs_solves = b.gs_solves - a.gs_solves;
-  d.update_declines = b.update_declines - a.update_declines;
-  return d;
-}
-
-core::Profiler::SchedCounts sched_delta(const core::Profiler::SchedCounts& a,
-                                        const core::Profiler::SchedCounts& b) {
-  core::Profiler::SchedCounts d;
-  d.jobs = b.jobs - a.jobs;
-  d.inline_jobs = b.inline_jobs - a.inline_jobs;
-  d.tasks = b.tasks - a.tasks;
-  d.stolen_tasks = b.stolen_tasks - a.stolen_tasks;
-  d.steal_failures = b.steal_failures - a.steal_failures;
-  d.nested_cooperative = b.nested_cooperative - a.nested_cooperative;
-  d.nested_inlined = b.nested_inlined - a.nested_inlined;
-  return d;
-}
-
-}  // namespace
-
 int serve_worker(int fd, const WorkerJob& job) {
   std::string body;
   if (read_frame(fd, body) != ReadStatus::kOk) return 10;
@@ -90,8 +63,8 @@ int serve_worker(int fd, const WorkerJob& job) {
     const auto t1 = std::chrono::steady_clock::now();
     res.busy_ns = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
-    res.nodal = nodal_delta(nodal0, core::Profiler::nodal());
-    res.sched = sched_delta(sched0, core::Profiler::sched());
+    res.nodal = core::Profiler::nodal() - nodal0;
+    res.sched = core::Profiler::sched() - sched0;
 
     if (!write_frame(fd, failed ? encode_eval_error(err) : encode_eval_result(res)))
       return 19;

@@ -4,23 +4,13 @@
 #include <cmath>
 
 #include "util/error.hpp"
+#include "util/hash.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace xlds::surrogate {
 
 namespace {
-
-// Local FNV-1a (dse::fnv1a64 lives above this library in the link order).
-std::uint64_t fnv1a64(const void* data, std::size_t n,
-                      std::uint64_t h = 14695981039346656037ull) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 /// Fixed-order per-output mean of the rows in `rows` (indices into samples).
 std::vector<double> mean_response(const std::vector<Sample>& samples,
@@ -224,8 +214,8 @@ RegressionForest::Prediction RegressionForest::predict(const std::vector<double>
 }
 
 std::uint64_t RegressionForest::state_hash() const {
-  std::uint64_t h = fnv1a64("xlds-forest-v1", 14);
-  const auto mix = [&h](const void* p, std::size_t n) { h = fnv1a64(p, n, h); };
+  std::uint64_t h = util::fnv1a64("xlds-forest-v1", 14);
+  const auto mix = [&h](const void* p, std::size_t n) { h = util::fnv1a64(p, n, h); };
   const std::uint64_t dims[2] = {n_features_, n_outputs_};
   mix(dims, sizeof dims);
   for (const Tree& tree : trees_) {

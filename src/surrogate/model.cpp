@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "util/error.hpp"
+#include "util/hash.hpp"
 
 namespace xlds::surrogate {
 
@@ -16,16 +17,6 @@ std::size_t ordinal_of(const std::vector<Kind>& all, Kind k) {
     if (all[i] == k) return i;
   XLDS_REQUIRE_MSG(false, "design-point coordinate outside the known kinds");
   return 0;
-}
-
-std::uint64_t fnv1a64(const void* data, std::size_t n,
-                      std::uint64_t h = 14695981039346656037ull) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
 }
 
 }  // namespace
@@ -115,7 +106,7 @@ SurrogatePrediction SurrogateModel::predict(const core::DesignPoint& p,
 std::uint64_t SurrogateModel::state_hash() const {
   std::uint64_t h = forest_.state_hash();
   const std::uint64_t book[3] = {samples_.size(), fitted_at_, refits_};
-  return fnv1a64(book, sizeof book, h);
+  return util::fnv1a64(book, sizeof book, h);
 }
 
 }  // namespace xlds::surrogate

@@ -26,6 +26,7 @@ class Parser {
  private:
   const std::string& text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< arrays/objects open around pos_
 
   [[noreturn]] void fail(const std::string& what) const {
     std::size_t line = 1, col = 1;
@@ -62,8 +63,8 @@ class Parser {
   Json parse_value() {
     skip_ws();
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': return parse_nested();
       case '"': return Json(parse_string());
       case 't':
         if (consume_literal("true")) return Json(true);
@@ -76,6 +77,15 @@ class Parser {
         fail("invalid literal");
       default: return parse_number();
     }
+  }
+
+  Json parse_nested() {
+    if (depth_ == Json::kMaxParseDepth)
+      fail("nesting deeper than " + std::to_string(Json::kMaxParseDepth) + " levels");
+    ++depth_;
+    Json v = peek() == '{' ? parse_object() : parse_array();
+    --depth_;
+    return v;
   }
 
   Json parse_object() {

@@ -33,8 +33,13 @@ class Json {
   static Json array() { Json j; j.kind_ = Kind::kArray; return j; }
   static Json object() { Json j; j.kind_ = Kind::kObject; return j; }
 
+  /// Deepest array/object nesting parse() accepts: the parser recurses once
+  /// per level, so deeper input is refused instead of overflowing the stack.
+  static constexpr std::size_t kMaxParseDepth = 512;
+
   /// Parse a complete document; trailing non-whitespace is an error.
-  /// Throws PreconditionError with a "line:col" position on malformed input.
+  /// Throws PreconditionError with a "line:col" position on malformed input,
+  /// including nesting deeper than kMaxParseDepth.
   static Json parse(const std::string& text);
 
   Kind kind() const noexcept { return kind_; }

@@ -20,6 +20,7 @@
 #include "dse/engine.hpp"
 #include "dse/space.hpp"
 #include "util/error.hpp"
+#include "util/record.hpp"
 
 namespace xlds::dse::testfix {
 
@@ -37,27 +38,20 @@ inline EngineConfig legacy_fixture_config() {
 }
 
 inline std::string downgrade_journal_to_v1(const std::string& v2) {
-  const auto read_u32 = [&](std::size_t pos) {
-    XLDS_REQUIRE(pos + 4 <= v2.size());
-    std::uint32_t v = 0;
-    std::memcpy(&v, v2.data() + pos, 4);
-    return v;
-  };
-  XLDS_REQUIRE_MSG(v2.size() >= 20 && v2.compare(0, 8, "XLDSJNL1") == 0,
+  std::size_t pos = 8;
+  std::uint32_t version = 0;
+  XLDS_REQUIRE_MSG(v2.compare(0, 8, "XLDSJNL1") == 0 && util::get_raw(v2, pos, version),
                    "not an XLDS journal");
-  XLDS_REQUIRE_MSG(read_u32(8) == 2, "downgrade expects a format-v2 journal");
+  XLDS_REQUIRE_MSG(version == 2 && v2.size() >= 20, "downgrade expects a format-v2 journal");
 
   std::string out = v2.substr(0, 8);
-  const std::uint32_t version = 1;
-  out.append(reinterpret_cast<const char*>(&version), 4);
+  util::put_raw(out, std::uint32_t{1});
   out.append(v2, 12, 8);  // job hash is version-independent
 
-  std::size_t pos = 20;
-  while (pos < v2.size()) {
-    const std::uint32_t len = read_u32(pos);
-    XLDS_REQUIRE_MSG(pos + 4 + len + 8 <= v2.size(), "torn record in downgrade input");
-    std::string body = v2.substr(pos + 4, len);
-    pos += 4 + len + 8;
+  for (pos = 20; pos < v2.size();) {
+    std::string_view frame;
+    XLDS_REQUIRE_MSG(util::get_frame(v2, pos, 1u << 20, frame), "torn record in downgrade input");
+    std::string body(frame);
 
     // v2 body layout: key u64 | fidelity u32 | feasible u8 + pad[3]
     //   | 4 x f64 FOM | uncertainty f64 | note length u32 | note bytes.
@@ -68,12 +62,7 @@ inline std::string downgrade_journal_to_v1(const std::string& v2) {
     --fidelity;
     std::memcpy(body.data() + 8, &fidelity, 4);
     body.erase(48, 8);  // v1 has no uncertainty field
-
-    const std::uint32_t body_len = static_cast<std::uint32_t>(body.size());
-    out.append(reinterpret_cast<const char*>(&body_len), 4);
-    out.append(body);
-    const std::uint64_t checksum = fnv1a64(body.data(), body.size());
-    out.append(reinterpret_cast<const char*>(&checksum), 8);
+    util::put_frame(out, body);
   }
   return out;
 }

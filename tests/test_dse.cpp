@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <vector>
@@ -19,7 +20,9 @@
 #include "dse/jobspec.hpp"
 #include "dse/journal.hpp"
 #include "dse/space.hpp"
+#include "shard/result_cache.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 #include "util/json.hpp"
 #include "util/parallel.hpp"
 
@@ -177,6 +180,44 @@ TEST(Journal, RejectsForeignFiles) {
   TempPath other("otherjob");
   { Journal j(other.str(), 1); }
   EXPECT_THROW(Journal(other.str(), 2), PreconditionError);  // job hash mismatch
+}
+
+std::uint64_t file_digest(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes{std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+  return util::fnv1a64(bytes.data(), bytes.size());
+}
+
+// Pins every byte the journal and the result cache write.  The digests were
+// captured from the writers before they moved onto the shared record codec;
+// a layout change anywhere in the frame, the FOM fields, a header or the
+// cache's session record fails here.
+TEST(RecordFiles, JournalAndCacheBytesArePinned) {
+  TempPath journal("golden_journal");
+  {
+    Journal j(journal.str(), 0x0123456789abcdefull);
+    j.append({3, static_cast<std::uint32_t>(Fidelity::kSurrogate),
+              {1.5e-6, 2.25e-7, 0.125, 0.875, true, "predicted"}, 0.0625});
+    j.append({5, static_cast<std::uint32_t>(Fidelity::kAnalytic),
+              {3.0e-6, 4.5e-7, 0.25, 0.75, true, ""}});
+    j.append({8, static_cast<std::uint32_t>(Fidelity::kNodal),
+              {6.0e-6, 9.0e-7, 0.5, 0.0, false, "culled: IR drop, too large\nretry"}});
+    j.append({13, static_cast<std::uint32_t>(Fidelity::kMonteCarlo),
+              {1.2e-5, 1.8e-6, 1.0, 0.625, true, "mc"}});
+  }
+  EXPECT_EQ(file_digest(journal.str()), 0xf38509d988a55a59ull);
+
+  TempPath cache("golden_cache");
+  {
+    shard::ResultCache c(cache.str());
+    c.insert(0xaaaa, 0x1111, static_cast<std::uint32_t>(Fidelity::kAnalytic),
+             {3.0e-6, 4.5e-7, 0.25, 0.75, true, ""});
+    c.insert(0xaaaa, 0x2222, static_cast<std::uint32_t>(Fidelity::kMonteCarlo),
+             {6.0e-6, 9.0e-7, 0.5, 0.0, false, "infeasible, by\nmargin"});
+    EXPECT_NE(c.find(0xaaaa, 0x1111, static_cast<std::uint32_t>(Fidelity::kAnalytic)), nullptr);
+    EXPECT_EQ(c.find(0xaaaa, 0x3333, static_cast<std::uint32_t>(Fidelity::kNodal)), nullptr);
+  }  // the destructor appends the session record (1 hit, 1 miss)
+  EXPECT_EQ(file_digest(cache.str()), 0xd9f02f2711875c23ull);
 }
 
 // ---- fidelity ladder --------------------------------------------------------

@@ -32,6 +32,7 @@
 #include "util/error.hpp"
 #include "util/hash.hpp"
 #include "util/parallel.hpp"
+#include "util/record.hpp"
 
 namespace xlds::shard {
 namespace {
@@ -178,6 +179,18 @@ TEST(Protocol, DecodersRejectMalformedBodies) {
     EXPECT_FALSE(decode_eval_result(good.substr(0, len), out)) << "prefix " << len;
   // Trailing junk is rejected too (a frame is exactly one message).
   EXPECT_FALSE(decode_eval_result(good + "x", out));
+  // A count the body cannot hold is rejected before it sizes an allocation:
+  // type | request id | tier | n = 0xFFFFFFFF | 4 bytes, 21 bytes in all.
+  for (const MsgType t : {MsgType::kEvalRequest, MsgType::kEvalResult}) {
+    std::string huge(1, static_cast<char>(t));
+    huge.append(8 + 4, '\0');
+    huge.append(4, '\xff');
+    huge.append(4, '\0');
+    ASSERT_EQ(huge.size(), 21u);
+    EvalRequest req;
+    EXPECT_FALSE(decode_eval_request(huge, req));
+    EXPECT_FALSE(decode_eval_result(huge, out));
+  }
   // Wrong type byte.
   Hello hello;
   EXPECT_FALSE(decode_hello(good, hello));
@@ -300,6 +313,27 @@ TEST(ResultCache, TruncatesTornTailOnOpenAndInspectReportsIt) {
   const ResultCache::InspectInfo info = ResultCache::inspect(path.str());
   EXPECT_LT(info.results.size(), 2u);
   EXPECT_GT(info.dropped_bytes, 0u);
+}
+
+TEST(ResultCache, ReplayStopsAtTheFirstUnknownRecordType) {
+  // An intact frame of a record type a later version might write ends the
+  // trusted prefix: the valid result after it goes with it.
+  TempPath path("unknown"), other("unknown_other");
+  { ResultCache(path.str()).insert(1, 1, 1, fom_fixture(1.0)); }
+  { ResultCache(other.str()).insert(1, 2, 1, fom_fixture(2.0)); }
+  const std::string intact = read_bytes(path.str());
+  std::string tail;
+  util::put_frame(tail, "\x09 a record from a future version");
+  tail += read_bytes(other.str()).substr(12);  // its result frame, past the header
+  {
+    std::ofstream out(path.str(), std::ios::binary | std::ios::app);
+    out << tail;
+  }
+  const ResultCache::InspectInfo info = ResultCache::inspect(path.str());
+  EXPECT_EQ(info.results.size(), 1u);
+  EXPECT_EQ(info.dropped_bytes, tail.size());
+  { EXPECT_EQ(ResultCache(path.str()).stats().loaded, 1u); }
+  EXPECT_EQ(read_bytes(path.str()), intact);
 }
 
 TEST(ResultCache, RejectsForeignFiles) {

@@ -372,6 +372,22 @@ TEST(Json, MalformedInputThrowsWithPosition) {
   }
 }
 
+TEST(Json, NestingIsBoundedInsteadOfOverflowingTheStack) {
+  const auto nested = [](std::size_t depth) {
+    std::string text;
+    for (std::size_t i = 0; i < depth; ++i) text += i % 2 == 0 ? "[" : "{\"k\":";
+    text += "0";
+    for (std::size_t i = depth; i-- > 0;) text += i % 2 == 0 ? "]" : "}";
+    return text;
+  };
+  const std::size_t limit = util::Json::kMaxParseDepth;
+  const util::Json at_limit = util::Json::parse(nested(limit));
+  EXPECT_EQ(at_limit.dump(), nested(limit));
+  EXPECT_THROW(util::Json::parse(nested(limit + 1)), PreconditionError);
+  // Far past the limit: refused at the limit, long before the stack runs out.
+  EXPECT_THROW(util::Json::parse(std::string(2'000'000, '[')), PreconditionError);
+}
+
 TEST(Json, DumpIsStableAndRoundTrips) {
   util::Json doc = util::Json::object();
   doc.set("b", 2).set("a", 1.5).set("list", util::Json::array());
