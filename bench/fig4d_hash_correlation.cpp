@@ -93,7 +93,12 @@ int main() {
   table.add_row({"RRAM crossbar LSH", Table::num(r_rram, 4)});
   table.add_row({"RRAM crossbar TLSH", Table::num(r_tlsh, 4)});
   std::cout << table;
-  std::cout << "\nExpected ordering: software >= TLSH > plain RRAM LSH (TLSH approaches\n"
-               "the software correlation, the paper's Fig. 4D message).\n";
+  // The paper's ordering, checked half by half against this run's numbers.
+  const auto verdict = [](bool holds) { return holds ? "holds" : "does not hold"; };
+  std::cout << "\nPaper's Fig. 4D ordering: software >= TLSH > plain RRAM LSH (TLSH\n"
+               "approaching the software correlation).  In this run:\n"
+            << "  software >= TLSH:      " << verdict(r_sw >= r_tlsh) << "\n"
+            << "  TLSH > plain RRAM LSH: " << verdict(r_tlsh > r_rram) << "\n"
+            << "See EXPERIMENTS.md, Deviation 5.\n";
   return 0;
 }

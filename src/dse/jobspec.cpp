@@ -1,5 +1,6 @@
 #include "dse/jobspec.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <unordered_set>
 
@@ -43,8 +44,11 @@ std::size_t size_or(const util::Json& obj, const std::string& key, std::size_t f
   const util::Json* v = obj.find(key);
   if (v == nullptr) return fallback;
   const double n = v->as_number();
-  XLDS_REQUIRE_MSG(n >= 0.0 && n == static_cast<double>(static_cast<std::size_t>(n)),
-                   "'" << key << "' must be a non-negative integer");
+  // Check the range before converting: casting a double outside [0, 2^64)
+  // to a 64-bit integer is undefined behaviour.  NaN fails every comparison.
+  static_assert(sizeof(std::size_t) == 8, "job-spec counts and seeds are 64-bit");
+  XLDS_REQUIRE_MSG(n >= 0.0 && n < 18446744073709551616.0 && std::floor(n) == n,
+                   "'" << key << "' must be a non-negative integer below 2^64");
   return static_cast<std::size_t>(n);
 }
 

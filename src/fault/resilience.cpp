@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -208,9 +209,31 @@ std::size_t majority_best_row(const cam::RramTcamArray& am, const mann::Signatur
   return best;
 }
 
-double evaluate_mann_point(const MannContext& ctx, const ResilienceConfig& cfg,
-                           const FaultSpec& spec, double rate, double time_s, Rng& rng) {
+struct HdcPointResult {
+  double accuracy = 0.0;
+  double residual_fraction = 0.0;  ///< residual faulty cells / logical cells
+};
+
+HdcPointResult evaluate_hdc_point(const HdcContext& ctx, const ResilienceConfig& cfg,
+                                  double rate, double time_s, Rng& rng) {
+  hdc::CamInferenceConfig cic;
+  cic.subarray = cfg.hdc.subarray;
+  hdc::HdcCamInference infer(ctx.model, cic, rng);
+  FaultInjectionStats stats;
+  if (rate > 0.0) stats = infer.inject_faults(cfg.mechanism_mix.scaled(rate), cfg.policies, rng);
+  if (time_s > 0.0) infer.age(time_s);
+  HdcPointResult out;
+  out.accuracy = infer.accuracy(ctx.test_x, ctx.test_y, cfg.policies.requery_votes);
+  const double logical_cells = static_cast<double>(infer.segments() * ctx.model.n_classes() *
+                                                   cfg.hdc.subarray.cols);
+  out.residual_fraction = static_cast<double>(stats.residual_cells) / logical_cells;
+  return out;
+}
+
+double evaluate_mann_point(const MannContext& ctx, const ResilienceConfig& cfg, double rate,
+                           double time_s, Rng& rng) {
   const auto& m = cfg.mann;
+  const FaultSpec spec = cfg.mechanism_mix.scaled(rate);
   const auto k_dc = static_cast<std::size_t>(m.dont_care_fraction *
                                              static_cast<double>(m.signature_bits));
   double acc_sum = 0.0;
@@ -277,56 +300,95 @@ ResilienceReport ResilienceEvaluator::run() const {
   const std::size_t n_rates = config_.fault_rates.size();
   const std::size_t n_times = config_.time_points_s.size();
   const std::size_t n_seeds = config_.seeds;
+  const std::size_t n_points = n_rates * n_times * n_seeds;
+  // Grid point i is (rate, time, seed) in rate-major order, seed fastest.
+  const auto rate_of = [&](std::size_t i) {
+    return config_.fault_rates[i / (n_seeds * n_times)];
+  };
+  const auto time_of = [&](std::size_t i) {
+    return config_.time_points_s[(i / n_seeds) % n_times];
+  };
 
-  // Seed contexts, built (or cache-served) before the grid fans out.
+  // One stream per point, forked in point order: the streams
+  // parallel_for_rng hands out with chunk 1.  A point's HDC half draws first
+  // and its MANN half continues from the state the HDC half left, so running
+  // the halves in two stages changes no draw.
+  Rng grid_rng(config_.base_seed ^ kGridStreamTag);
+  std::vector<Rng> point_rng;
+  point_rng.reserve(n_points);
+  for (std::size_t i = 0; i < n_points; ++i) point_rng.push_back(grid_rng.fork(i));
+
   std::vector<std::shared_ptr<const HdcContext>> hdc_ctx(n_seeds);
   std::vector<std::shared_ptr<const MannContext>> mann_ctx(n_seeds);
-  for (std::size_t s = 0; s < n_seeds; ++s) {
-    hdc_ctx[s] = cached_context<HdcContext>(
-        g_hdc_cache_mutex, g_hdc_cache, hdc_context_key(config_, s),
-        [&] { return build_hdc_context(config_, s); });
-    mann_ctx[s] = cached_context<MannContext>(
-        g_mann_cache_mutex, g_mann_cache, mann_context_key(config_, s),
-        [&] { return build_mann_context(config_, s); });
-  }
-
-  const std::size_t n_points = n_rates * n_times * n_seeds;
   std::vector<double> hdc_acc(n_points, 0.0);
   std::vector<double> mann_acc(n_points, 0.0);
   std::vector<double> residual(n_points, 0.0);
+  std::vector<char> hdc_done(n_points, 0);
+  std::exception_ptr mann_build_error, hdc_build_error, hdc_half_error;
 
-  Rng grid_rng(config_.base_seed ^ kGridStreamTag);
-  // Chunk of 1: each grid point owns a forked stream, so assignment of
-  // points to threads never changes a draw.
-  parallel_for_rng(grid_rng, n_points, 1,
-                   [&](Rng& point_rng, std::size_t begin, std::size_t end, std::size_t) {
-                     for (std::size_t i = begin; i < end; ++i) {
-                       const std::size_t si = i % n_seeds;
-                       const std::size_t ti = (i / n_seeds) % n_times;
-                       const std::size_t ri = i / (n_seeds * n_times);
-                       const double rate = config_.fault_rates[ri];
-                       const double time_s = config_.time_points_s[ti];
-                       const FaultSpec spec = config_.mechanism_mix.scaled(rate);
+  // Two branches side by side; chunk 1, so each body's `begin` is its index.
+  // Branch 0 is the longest chain, CNN pretraining, so this lane starts it
+  // first: the MANN contexts, one task per seed.  Branch 1 builds the HDC
+  // contexts, then runs every point's HDC half, which needs only those.
+  // Each branch keeps its failure, so they are ordered as the serial loop
+  // would order them below, not by which branch is unit 0.
+  parallel_for(2, 1, [&](std::size_t branch, std::size_t, std::size_t) {
+    if (branch == 0) {
+      try {
+        parallel_for(n_seeds, 1, [&](std::size_t s, std::size_t, std::size_t) {
+          mann_ctx[s] = cached_context<MannContext>(
+              g_mann_cache_mutex, g_mann_cache, mann_context_key(config_, s),
+              [&] { return build_mann_context(config_, s); });
+        });
+      } catch (...) {
+        mann_build_error = std::current_exception();
+      }
+      return;
+    }
+    try {
+      for (std::size_t s = 0; s < n_seeds; ++s)
+        hdc_ctx[s] = cached_context<HdcContext>(
+            g_hdc_cache_mutex, g_hdc_cache, hdc_context_key(config_, s),
+            [&] { return build_hdc_context(config_, s); });
+    } catch (...) {
+      hdc_build_error = std::current_exception();
+      return;
+    }
+    try {
+      parallel_for(n_points, 1, [&](std::size_t i, std::size_t, std::size_t) {
+        const HdcPointResult r = evaluate_hdc_point(*hdc_ctx[i % n_seeds], config_, rate_of(i),
+                                                    time_of(i), point_rng[i]);
+        hdc_acc[i] = r.accuracy;
+        residual[i] = r.residual_fraction;
+        hdc_done[i] = 1;
+      });
+    } catch (...) {
+      hdc_half_error = std::current_exception();
+    }
+  });
 
-                       const HdcContext& hc = *hdc_ctx[si];
-                       hdc::CamInferenceConfig cic;
-                       cic.subarray = config_.hdc.subarray;
-                       hdc::HdcCamInference infer(hc.model, cic, point_rng);
-                       FaultInjectionStats stats;
-                       if (rate > 0.0)
-                         stats = infer.inject_faults(spec, config_.policies, point_rng);
-                       if (time_s > 0.0) infer.age(time_s);
-                       hdc_acc[i] = infer.accuracy(hc.test_x, hc.test_y,
-                                                   config_.policies.requery_votes);
-                       const double logical_cells =
-                           static_cast<double>(infer.segments() * hc.model.n_classes() *
-                                               config_.hdc.subarray.cols);
-                       residual[i] = static_cast<double>(stats.residual_cells) / logical_cells;
+  // The serial loop built hdc[0], mann[0], hdc[1], ... and threw the first
+  // failure.  Each branch stops at its lowest failing seed (the MANN seeds by
+  // parallel_for's lowest-index rule), so the first seed still missing a
+  // context is where that branch failed; a tie goes to HDC.
+  if (hdc_build_error || mann_build_error) {
+    const auto first_missing = [](const auto& ctx) {
+      return std::find(ctx.begin(), ctx.end(), nullptr) - ctx.begin();
+    };
+    std::rethrow_exception(first_missing(hdc_ctx) <= first_missing(mann_ctx) ? hdc_build_error
+                                                                           : mann_build_error);
+  }
 
-                       mann_acc[i] = evaluate_mann_point(*mann_ctx[si], config_, spec, rate,
-                                                         time_s, point_rng);
-                     }
-                   });
+  // The MANN halves.  The serial loop stopped at the first failing HDC half
+  // (again the lowest index), so only the points before it run here, and a
+  // MANN failure among them is thrown first.
+  const std::size_t n_mann = static_cast<std::size_t>(
+      std::find(hdc_done.begin(), hdc_done.end(), 0) - hdc_done.begin());
+  parallel_for(n_mann, 1, [&](std::size_t i, std::size_t, std::size_t) {
+    mann_acc[i] = evaluate_mann_point(*mann_ctx[i % n_seeds], config_, rate_of(i), time_of(i),
+                                      point_rng[i]);
+  });
+  if (hdc_half_error) std::rethrow_exception(hdc_half_error);
 
   ResilienceReport report;
   report.points.reserve(n_rates * n_times);

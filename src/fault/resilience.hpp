@@ -14,9 +14,13 @@
 // The expensive seed-level artifacts (trained HDC model + test set, trained
 // CNN feature extractor reduced to per-episode feature vectors) are memoized
 // in process-wide caches — repeated sweeps at different policies or rates
-// rebuild nothing.  The (rate, time, seed) grid itself runs under
-// parallel_for_rng with one forked stream per point, so every number is
-// bit-identical at any XLDS_THREADS.
+// rebuild nothing.  A sweep runs as two branches on the shared pool: the
+// MANN contexts (CNN pretraining, the longest chain) beside the HDC contexts
+// and every grid point's HDC half; each point's MANN half runs once both are
+// done.  Every (rate, time, seed) point owns one forked stream, which its
+// HDC half draws from first and its MANN half continues, so every number is
+// bit-identical at any XLDS_THREADS, and a failure throws what a serial
+// sweep would throw.
 #pragma once
 
 #include <cstddef>

@@ -8,6 +8,9 @@
 #include <unordered_map>
 #include <utility>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 #include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
@@ -70,6 +73,14 @@ ShardPool::~ShardPool() { shutdown_all(); }
 
 void ShardPool::spawn(std::size_t first, std::size_t last) {
   parallel_quiesce_for_fork();
+#ifdef __GLIBC__
+  // Each worker inherits every resident page of this process, including the
+  // free chunks glibc keeps in its arenas (mostly the nodal factors that
+  // FidelityLadder::prime's one-shot tiles freed).  The process is
+  // single-threaded here, so hand that free heap back once before the
+  // copies are made.
+  ::malloc_trim(0);
+#endif
   for (std::size_t slot = first; slot < last; ++slot) {
     Worker& w = workers_[slot];
     int sv[2];

@@ -226,8 +226,9 @@ void append_number(std::string& out, double v) {
     return;
   }
   // Integral values print without a fraction (journal keys, counts); others
-  // round-trip through max_digits10.
-  if (v == static_cast<double>(static_cast<long long>(v)) && std::fabs(v) < 1e15) {
+  // round-trip through max_digits10.  The magnitude test comes first: casting
+  // a double outside long long's range is undefined behaviour.
+  if (std::fabs(v) < 1e15 && v == static_cast<double>(static_cast<long long>(v))) {
     out += std::to_string(static_cast<long long>(v));
     return;
   }

@@ -548,6 +548,22 @@ TEST(JobSpec, RejectsTyposAndBadNames) {
   EXPECT_THROW(config_from_spec_text(R"({"budget": -3})"), PreconditionError);
 }
 
+TEST(JobSpec, IntegerKeysRejectValuesNoIntegerHolds) {
+  // Each is refused before any float-to-integer conversion: 1e300 and 2^64
+  // lie past the 64-bit range, -1 below it, 0.5 between two integers.
+  const std::vector<std::string> bad = {"1e300", "18446744073709551616", "-1", "0.5"};
+  for (const std::string& v : bad) {
+    for (const std::string& spec :
+         {R"({"budget": )" + v + "}", R"({"seed": )" + v + "}", R"({"shards": )" + v + "}",
+          R"({"fidelity": {"mc_seed": )" + v + "}}"}) {
+      EXPECT_THROW(config_from_spec_text(spec), PreconditionError) << spec;
+    }
+  }
+  // The largest double below 2^64 still converts exactly.
+  const EngineConfig top = config_from_spec_text(R"({"seed": 18446744073709549568})");
+  EXPECT_EQ(top.seed, 18446744073709549568ull);
+}
+
 TEST(JobSpec, ResultSerialisationRoundTrips) {
   EngineConfig config;
   config.strategy = "lhs";

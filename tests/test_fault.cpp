@@ -1,12 +1,15 @@
 // Unit tests for the cross-layer fault subsystem: FaultMap generation
 // (determinism at any thread count), line-fault folding, graceful-degradation
 // policies (spare remapping, yield), array-level injection semantics
-// (crossbar and CAMs), the nodal-solve fallback, the nvsim migration, and a
-// small end-to-end resilience sweep.
+// (crossbar and CAMs), the nodal-solve fallback, the nvsim migration, a
+// small end-to-end resilience sweep, and the resilience probe's pinned
+// report bytes, failure order and context-cache counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "cam/fefet_cam.hpp"
@@ -18,6 +21,7 @@
 #include "nn/network.hpp"
 #include "nvsim/explorer.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "xbar/crossbar.hpp"
@@ -588,6 +592,109 @@ TEST_F(FaultTest, ResiliencePoliciesCarryTheirCost) {
   const fault::ResilienceReport report = fault::ResilienceEvaluator(cfg).run();
   EXPECT_GT(report.cost.area_factor, 1.0);
   EXPECT_DOUBLE_EQ(report.cost.latency_factor, 3.0);
+}
+
+// ---- resilience probe: pinned bytes and serial semantics ------------------
+
+/// FNV-1a-64 over every double of a report: points, yield, policy cost.
+std::uint64_t report_digest(const fault::ResilienceReport& r) {
+  std::uint64_t h = util::kFnvOffsetBasis;
+  const auto mix = [&h](double v) { h = util::fnv1a64(&v, sizeof v, h); };
+  for (const fault::ResiliencePoint& p : r.points) {
+    mix(p.fault_rate);
+    mix(p.time_s);
+    mix(p.hdc_accuracy);
+    mix(p.mann_accuracy);
+    mix(p.residual_fraction);
+  }
+  for (const fault::YieldEstimate& y : r.yield) {
+    mix(y.yield);
+    mix(y.mean_residual_fraction);
+  }
+  mix(r.cost.area_factor);
+  mix(r.cost.latency_factor);
+  mix(r.cost.energy_factor);
+  return h;
+}
+
+struct PinnedReport {
+  const char* name;
+  fault::ResilienceConfig config;
+  std::uint64_t digest;
+};
+
+TEST_F(FaultTest, ResilienceReportBytesArePinnedAtAnyWidthColdOrMemoised) {
+  const std::vector<PinnedReport> pins = {
+      {"probe 0.02/1e7/99", fault::dse_probe_config(0.02, 1e7, 99), 0x01876799181c998cull},
+      {"probe 0.02/1e7/7", fault::dse_probe_config(0.02, 1e7, 7), 0xaf676bc6386a8b47ull},
+      {"probe 0.02/1e7/1234", fault::dse_probe_config(0.02, 1e7, 1234), 0xc8d4a176d1143c53ull},
+      {"probe 0.05/1e7/7", fault::dse_probe_config(0.05, 1e7, 7), 0x903f7bc9e7475a45ull},
+      {"small sweep, 2 seeds", small_sweep_config(), 0x519a8e6ff18549d6ull},
+  };
+  for (const std::size_t width : {1, 2, 8}) {
+    set_parallel_threads(width);
+    for (const PinnedReport& pin : pins) {
+      fault::clear_resilience_caches();
+      const fault::ResilienceEvaluator probe(pin.config);
+      EXPECT_EQ(report_digest(probe.run()), pin.digest)
+          << pin.name << ", cold, width " << width;
+      EXPECT_EQ(report_digest(probe.run()), pin.digest)
+          << pin.name << ", memoised, width " << width;
+    }
+  }
+}
+
+/// The message of the PreconditionError the probe throws ("" if none).
+std::string probe_failure(const fault::ResilienceConfig& cfg) {
+  try {
+    (void)fault::ResilienceEvaluator(cfg).run();
+  } catch (const PreconditionError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST_F(FaultTest, ResilienceContextFailuresThrowWhatTheSerialOrderThrows) {
+  // The serial order builds hdc[0], mann[0], hdc[1], ...: with both builds
+  // broken the HDC failure wins, with only the MANN build broken its own.
+  fault::ResilienceConfig both = fault::dse_probe_config(0.02, 1e7, 7);
+  both.hdc.max_test_samples = 0;      // HDC build throws after training
+  both.mann.fewshot.image_side = 8;   // make_small_cnn throws at once
+  fault::ResilienceConfig mann_only = fault::dse_probe_config(0.02, 1e7, 7);
+  mann_only.mann.fewshot.image_side = 8;
+  // Past the builds, a point's HDC half runs before its MANN half.
+  fault::ResilienceConfig halves = fault::dse_probe_config(0.02, 1e7, 7);
+  halves.hdc.subarray.cols = 0;     // every HDC half throws
+  halves.mann.signature_bits = 0;   // every MANN half throws
+  fault::ResilienceConfig mann_halves = fault::dse_probe_config(0.02, 1e7, 7);
+  mann_halves.mann.signature_bits = 0;
+  for (const std::size_t width : {1, 8}) {
+    set_parallel_threads(width);
+    fault::clear_resilience_caches();
+    EXPECT_NE(probe_failure(both).find("no test samples"), std::string::npos)
+        << "width " << width;
+    fault::clear_resilience_caches();
+    EXPECT_NE(probe_failure(mann_only).find("side >= 12"), std::string::npos)
+        << "width " << width;
+    EXPECT_NE(probe_failure(halves).find("subarray.cols >= 1"), std::string::npos)
+        << "width " << width;
+    EXPECT_NE(probe_failure(mann_halves).find("bits >= 1"), std::string::npos)
+        << "width " << width;
+  }
+}
+
+TEST_F(FaultTest, ColdProbeLooksUpEachContextOnceAndHitsNone) {
+  for (const std::size_t width : {1, 8}) {
+    set_parallel_threads(width);
+    for (const fault::ResilienceConfig& cfg :
+         {fault::dse_probe_config(0.02, 1e7, 7), small_sweep_config()}) {
+      fault::clear_resilience_caches();
+      (void)fault::ResilienceEvaluator(cfg).run();
+      const fault::ResilienceCacheStats stats = fault::resilience_cache_stats();
+      EXPECT_EQ(stats.lookups, 2u * cfg.seeds) << "width " << width;
+      EXPECT_EQ(stats.hits, 0u) << "width " << width;
+    }
+  }
 }
 
 }  // namespace

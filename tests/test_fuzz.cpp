@@ -1,14 +1,17 @@
-// Deterministic mutation fuzzer over the binary decoders that read untrusted
-// bytes: the DSE journal (v2 and the checked-in v1 fixture), the result
-// cache, every shard wire message body and the wire's frame reader.  A
-// fixed-seed xlds::Rng flips bytes, truncates and splices a small corpus of
-// valid files and bodies.  Every mutant must be handled the documented way:
+// Deterministic mutation fuzzer over the decoders that read untrusted bytes:
+// the DSE journal (v2 and the checked-in v1 fixture), the result cache, every
+// shard wire message body, the wire's frame reader, the JSON parser and the
+// job-spec decoder on top of it.  A fixed-seed xlds::Rng flips bytes,
+// truncates and splices a small corpus of valid files, bodies and specs.
+// Every mutant must be handled the documented way:
 //
 //   - a file opens or inspects, or throws PreconditionError (bad magic,
 //     version or job hash), and never replays a record the test did not
 //     write; a writable open leaves exactly its replayed records on disk;
 //   - a wire decoder returns true or false, and a message it accepted
 //     re-encodes to one that decodes equal;
+//   - a JSON text parses, and its dump parses back to the same dump, or it
+//     throws PreconditionError; a job spec decodes or throws PreconditionError;
 //   - nothing crashes or throws anything else.
 //
 // No corpus download and no libFuzzer: the budget is kMutants per decoder,
@@ -28,10 +31,12 @@
 #include <unistd.h>
 
 #include "core/evaluate.hpp"
+#include "dse/jobspec.hpp"
 #include "dse/journal.hpp"
 #include "shard/protocol.hpp"
 #include "shard/result_cache.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 #include "util/record.hpp"
 #include "util/rng.hpp"
 
@@ -407,6 +412,67 @@ TEST(Fuzz, WireFrameReader) {
     ASSERT_TRUE(s == shard::ReadStatus::kEof || s == shard::ReadStatus::kCorrupt);
   });
   EXPECT_GT(intact, 0u);
+}
+
+// ---------------------------------------------------------- JSON job specs
+
+/// The CI dse-smoke spec, and one spec that sets every key the decoder knows.
+std::vector<std::string> job_spec_corpus() {
+  return {
+      R"({"strategy": "nsga2", "budget": 60, "seed": 7, "fidelity": {"max": "mc"}})",
+      R"({"application": "isolet-like", "strategy": "halving", "budget": 33, "seed": 7,
+          "space": {"devices": ["RRAM", "FeFET"], "archs": ["CAM-accel", "XBar+CAM"],
+                    "algos": ["HDC", "MANN"]},
+          "fidelity": {"max": "mc", "variation_sigma_rel": 0.05, "ir_drop_sensitivity": 2.5,
+                       "mc_fault_rate": 0.02, "mc_age_s": 1e7, "mc_seed": 11},
+          "surrogate": {"enabled": true, "trees": 16, "min_history": 8, "refit_every": 4,
+                        "promote_uncertainty": 0.25, "disagree_rel": 0.1,
+                        "queries_per_charge": 8, "fit_seed": 3},
+          "driver": {"population": 12, "crossover_prob": 0.9, "stall_generations": 3,
+                     "eta": 2.0},
+          "weights": {"latency": 1.0, "energy": 1.0, "area": 0.5, "accuracy": 30.0},
+          "journal": "runs/a.xjl", "shards": 2, "cache": "runs/c.xrc"})",
+  };
+}
+
+/// Donors: the corpus plus values a decoder must refuse or take as they are.
+std::vector<std::string> job_spec_donors() {
+  std::vector<std::string> donors = job_spec_corpus();
+  donors.push_back(
+      R"(1e300 18446744073709551616 -1 0.5 1e999 -0 null true [] {} "\u0000\ud800" [[[ "mc")");
+  return donors;
+}
+
+TEST(Fuzz, JsonParser) {
+  int parsed = 0;
+  for_each_mutant(30, job_spec_corpus(), job_spec_donors(), [&](const std::string& mutant) {
+    util::Json doc;
+    try {
+      doc = util::Json::parse(mutant);
+    } catch (const PreconditionError&) {
+      return;
+    }
+    ++parsed;
+    // A parsed document dumps to text that parses back to the same dump.
+    const std::string text = doc.dump();
+    ASSERT_EQ(util::Json::parse(text).dump(), text) << mutant;
+  });
+  EXPECT_GT(parsed, 0);
+}
+
+TEST(Fuzz, JobSpecDecoder) {
+  // Decode only: a mutant never reaches explore() or a shard pool.
+  int decoded = 0, refused = 0;
+  for_each_mutant(31, job_spec_corpus(), job_spec_donors(), [&](const std::string& mutant) {
+    try {
+      (void)dse::config_from_spec_text(mutant);
+      ++decoded;
+    } catch (const PreconditionError&) {
+      ++refused;
+    }
+  });
+  EXPECT_GT(decoded, 0);
+  EXPECT_GT(refused, 0);
 }
 
 }  // namespace
