@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <utility>
 
 #include "circuit/converter.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 
 namespace xlds::cam {
 
@@ -174,14 +177,61 @@ std::size_t FeFetCamArray::mismatch_limit() const {
   return std::max<std::size_t>(limit, 1);
 }
 
-SearchResult FeFetCamArray::search(const std::vector<int>& query) const {
-  XLDS_REQUIRE_MSG(query.size() == config_.cols,
-                   "query width " << query.size() << " != " << config_.cols);
+std::vector<SearchResult> FeFetCamArray::search_batch(
+    const std::vector<std::vector<int>>& queries, std::size_t repeats) const {
+  XLDS_REQUIRE_MSG(repeats >= 1, "a search needs at least one repeat");
+  const std::size_t n_rows = config_.rows, n_cols = config_.cols, n_queries = queries.size();
   const int n_levels = levels();
-  for (int q : query) XLDS_REQUIRE_MSG(q >= 0 && q < n_levels, "query digit " << q);
+  const auto n_digits = static_cast<std::size_t>(n_levels);
+  // present[c * n_digits + d]: some query drives digit d on column c.
+  std::vector<std::uint8_t> present(n_cols * n_digits, 0);
+  for (const std::vector<int>& query : queries) {
+    XLDS_REQUIRE_MSG(query.size() == n_cols,
+                     "query width " << query.size() << " != " << n_cols);
+    for (std::size_t c = 0; c < n_cols; ++c) {
+      const int q = query[c];
+      XLDS_REQUIRE_MSG(q >= 0 && q < n_levels, "query digit " << q);
+      present[c * n_digits + static_cast<std::size_t>(q)] = 1;
+    }
+  }
+  if (n_queries == 0) return {};
+  // Those (column, digit) pairs, in column order: a row's table holds only
+  // these, so for one query it holds one conductance per cell.
+  std::vector<std::pair<std::size_t, int>> driven;
+  driven.reserve(n_cols);
+  for (std::size_t c = 0; c < n_cols; ++c)
+    for (int d = 0; d < n_levels; ++d)
+      if (present[c * n_digits + static_cast<std::size_t>(d)] != 0) driven.emplace_back(c, d);
+
+  // Matchline conductance of every (query, row).  cell_conductance is a pure
+  // function of (cell, digit), so one table of a row's conductances per
+  // driven digit serves every query, and each sum adds the same doubles in
+  // the same column order as a cell-by-cell loop: rows are independent, and
+  // any split of them across lanes gives the same bytes.  A chunk covers at
+  // least kMinChunkWork table entries and summed cells, so a small search
+  // runs inline.
+  constexpr std::size_t kMinChunkWork = 4096;
+  const std::size_t row_work = driven.size() + n_queries * n_cols;
+  const std::size_t chunk_rows = std::max<std::size_t>(1, kMinChunkWork / row_work);
+  std::vector<double> g_rows(n_queries * n_rows);
+  parallel_for(n_rows, chunk_rows, [&](std::size_t begin, std::size_t end, std::size_t) {
+    std::vector<double> table(n_cols * n_digits);
+    for (std::size_t r = begin; r < end; ++r) {
+      const std::vector<Cell>& row = cells_[r];
+      for (const auto& [c, d] : driven)
+        table[c * n_digits + static_cast<std::size_t>(d)] = cell_conductance(row[c], d);
+      for (std::size_t qi = 0; qi < n_queries; ++qi) {
+        const int* query = queries[qi].data();
+        double g_row = 0.0;
+        for (std::size_t c = 0; c < n_cols; ++c)
+          g_row += table[c * n_digits + static_cast<std::size_t>(query[c])];
+        g_rows[qi * n_rows + r] = g_row;
+      }
+    }
+  });
 
   const double g_unit = unit_conductance();
-  const double g_baseline = match_baseline_conductance() * static_cast<double>(config_.cols);
+  const double g_baseline = match_baseline_conductance() * static_cast<double>(n_cols);
 
   // Discharge-time sensing digitises the matchline's *time constant*, which
   // is uniform in log-conductance: small distances resolve finely (long
@@ -191,46 +241,54 @@ SearchResult FeFetCamArray::search(const std::vector<int>& query) const {
   Cell worst;
   worst.stored = 0;
   worst.vth_a = model_.level_vth(0);
-  worst.vth_b = model_.level_vth(levels() - 1);
+  worst.vth_b = model_.level_vth(n_levels - 1);
   const double max_r =
-      (cell_conductance(worst, levels() - 1) - match_baseline_conductance()) / g_unit;
-  const double full_scale = static_cast<double>(config_.cols) * std::max(max_r, 1.0);
+      (cell_conductance(worst, n_levels - 1) - match_baseline_conductance()) / g_unit;
+  const double full_scale = static_cast<double>(n_cols) * std::max(max_r, 1.0);
   constexpr double kFloor = 0.5;
   const double log_step =
       std::log(full_scale / kFloor) / static_cast<double>(config_.sense_levels);
+  const SearchCost cost = search_cost();
 
-  SearchResult result;
-  result.sensed_distance.resize(config_.rows);
-  double best = HUGE_VAL;
-  for (std::size_t r = 0; r < config_.rows; ++r) {
-    double g_row = 0.0;
-    for (std::size_t c = 0; c < config_.cols; ++c)
-      g_row += cell_conductance(cells_[r][c], query[c]);
-    // Self-referenced: subtract the all-match baseline, express in single-
-    // mismatch units; time jitter appears as noise proportional to the
-    // metric (plus a one-unit floor from comparator offset).
-    double metric = (g_row - g_baseline) / g_unit;
-    if (config_.sense_noise_rel > 0.0)
-      metric += rng_.normal(0.0, config_.sense_noise_rel * (std::abs(metric) + 1.0));
-    metric = std::clamp(metric, 0.0, full_scale);
-    double sensed = 0.0;
-    if (metric >= kFloor) {
-      const double code = std::round(std::log(metric / kFloor) / log_step);
-      sensed = kFloor * std::exp(code * log_step);
+  // Sensing draws from the array's one stream, so it runs serially, in
+  // (query, repeat, row) order.
+  std::vector<SearchResult> results(n_queries * repeats);
+  for (std::size_t k = 0; k < results.size(); ++k) {
+    const double* g_row = &g_rows[(k / repeats) * n_rows];
+    SearchResult& result = results[k];
+    result.sensed_distance.resize(n_rows);
+    double best = HUGE_VAL;
+    for (std::size_t r = 0; r < n_rows; ++r) {
+      // Self-referenced: subtract the all-match baseline, express in single-
+      // mismatch units; time jitter appears as noise proportional to the
+      // metric (plus a one-unit floor from comparator offset).
+      double metric = (g_row[r] - g_baseline) / g_unit;
+      if (config_.sense_noise_rel > 0.0)
+        metric += rng_.normal(0.0, config_.sense_noise_rel * (std::abs(metric) + 1.0));
+      metric = std::clamp(metric, 0.0, full_scale);
+      double sensed = 0.0;
+      if (metric >= kFloor) {
+        const double code = std::round(std::log(metric / kFloor) / log_step);
+        sensed = kFloor * std::exp(code * log_step);
+      }
+      // A dead matchline sense amp reads full scale regardless of the match
+      // state; the row can never win.  (The metric/noise path above still
+      // runs so the RNG stream is identical with and without dead amps.)
+      if (row_sense_dead_[r]) sensed = full_scale;
+      result.sensed_distance[r] = sensed;
+      if (!row_sense_dead_[r] && sensed < best) {
+        best = sensed;
+        result.best_row = r;
+      }
     }
-    // A dead matchline sense amp reads full scale regardless of the match
-    // state; the row can never win.  (The metric/noise path above still runs
-    // so the RNG stream is identical with and without dead amps.)
-    if (row_sense_dead_[r]) sensed = full_scale;
-    result.sensed_distance[r] = sensed;
-    if (!row_sense_dead_[r] && sensed < best) {
-      best = sensed;
-      result.best_row = r;
-    }
+    if (result.best_row >= n_rows) result.best_row = 0;  // every amp dead
+    result.cost = cost;
   }
-  if (result.best_row >= config_.rows) result.best_row = 0;  // every amp dead
-  result.cost = search_cost();
-  return result;
+  return results;
+}
+
+SearchResult FeFetCamArray::search(const std::vector<int>& query) const {
+  return std::move(search_batch({query})[0]);
 }
 
 std::vector<std::size_t> FeFetCamArray::threshold_match(const std::vector<int>& query,

@@ -77,8 +77,17 @@ class FeFetCamArray {
   /// Stored digit as it would be *read back* level-wise (post-variation).
   int readback_digit(std::size_t row, std::size_t col) const;
 
-  /// Search with a full-width query (one level per cell).  Returns sensed
-  /// distances per row, the best row, and the circuit-level cost.
+  /// Search a batch of full-width queries (one level per cell), each
+  /// `repeats` times (majority re-query): one result per (query, repeat), in
+  /// that order, each with the sensed distances per row, the best row and
+  /// the circuit-level cost.  Results equal `repeats` search() calls per
+  /// query in batch order, bit for bit, at any thread count: a row's
+  /// conductance sum is a pure function of the query, and sense noise is
+  /// drawn from the array's stream in (query, repeat, row) order.
+  std::vector<SearchResult> search_batch(const std::vector<std::vector<int>>& queries,
+                                         std::size_t repeats = 1) const;
+
+  /// One query's search: a one-row search_batch.
   SearchResult search(const std::vector<int>& query) const;
 
   /// Rows whose sensed distance is <= `threshold` (in sensed-metric units of

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 
 namespace xlds::cam {
 
@@ -96,46 +98,78 @@ void PartitionedCam::write_word(std::size_t row, const std::vector<int>& digits)
   stored_words_[row] = digits;
 }
 
-SearchResult PartitionedCam::search(const std::vector<int>& query) const {
-  XLDS_REQUIRE_MSG(query.size() == config_.total_width,
-                   "query width " << query.size() << " != " << config_.total_width);
+std::vector<SearchResult> PartitionedCam::search_batch(
+    const std::vector<std::vector<int>>& queries, std::size_t repeats) const {
+  XLDS_REQUIRE_MSG(repeats >= 1, "a search needs at least one repeat");
+  for (const std::vector<int>& query : queries)
+    XLDS_REQUIRE_MSG(query.size() == config_.total_width,
+                     "query width " << query.size() << " != " << config_.total_width);
   const std::size_t n_rows = config_.subarray.rows;
 
-  SearchResult combined;
-  combined.sensed_distance.assign(n_rows, 0.0);
-  std::vector<double> votes(n_rows, 0.0);
-  double max_latency = 0.0;
-  for (std::size_t seg_index = 0; seg_index < segments_.size(); ++seg_index) {
-    if (!segment_enabled_[seg_index]) continue;  // excluded by the fault policy
-    // Queries into padded tail cells use level 0; the stored pad cells are
-    // don't-care so they contribute no conductance either way.
-    const std::vector<int> q = segment_slice(query, seg_index, 0);
-    const SearchResult res = segments_[seg_index].search(q);
-    max_latency = std::max(max_latency, res.cost.latency);
-    combined.cost.energy += res.cost.energy;
-    for (std::size_t r = 0; r < n_rows; ++r) combined.sensed_distance[r] += res.sensed_distance[r];
-    if (config_.aggregation == Aggregation::kVote) votes[res.best_row] += 1.0;
-  }
-  combined.cost.latency = max_latency;
+  // Each segment draws sense noise from its own stream, so the segments are
+  // independent: any split of them across lanes gives the same bytes.  A
+  // task covers at least kMinTaskCells cells searched, so a small search
+  // runs inline.
+  constexpr std::size_t kMinTaskCells = 4096;
+  const std::size_t segment_cells =
+      std::max<std::size_t>(1, queries.size() * n_rows * config_.subarray.cols);
+  std::vector<std::vector<SearchResult>> per_segment(segments_.size());
+  parallel_for(
+      segments_.size(), 1,
+      [&](std::size_t begin, std::size_t end, std::size_t) {
+        for (std::size_t seg_index = begin; seg_index < end; ++seg_index) {
+          if (!segment_enabled_[seg_index]) continue;  // excluded by the fault policy
+          // Queries into padded tail cells use level 0; the stored pad cells
+          // are don't-care so they contribute no conductance either way.
+          std::vector<std::vector<int>> slices(queries.size());
+          for (std::size_t qi = 0; qi < queries.size(); ++qi)
+            slices[qi] = segment_slice(queries[qi], seg_index, 0);
+          per_segment[seg_index] = segments_[seg_index].search_batch(slices, repeats);
+        }
+      },
+      (kMinTaskCells + segment_cells - 1) / segment_cells);
 
-  if (config_.aggregation == Aggregation::kVote) {
-    // Most votes wins; ties break toward the smaller summed sensed distance,
-    // then the lower row index.
-    std::size_t best = 0;
-    for (std::size_t r = 1; r < n_rows; ++r) {
-      if (votes[r] > votes[best] ||
-          (votes[r] == votes[best] &&
-           combined.sensed_distance[r] < combined.sensed_distance[best]))
-        best = r;
+  std::vector<SearchResult> results(queries.size() * repeats);
+  std::vector<double> votes(n_rows);
+  for (std::size_t k = 0; k < results.size(); ++k) {
+    SearchResult& combined = results[k];
+    combined.sensed_distance.assign(n_rows, 0.0);
+    std::fill(votes.begin(), votes.end(), 0.0);
+    double max_latency = 0.0;
+    for (std::size_t seg_index = 0; seg_index < segments_.size(); ++seg_index) {
+      if (!segment_enabled_[seg_index]) continue;
+      const SearchResult& res = per_segment[seg_index][k];
+      max_latency = std::max(max_latency, res.cost.latency);
+      combined.cost.energy += res.cost.energy;
+      for (std::size_t r = 0; r < n_rows; ++r)
+        combined.sensed_distance[r] += res.sensed_distance[r];
+      if (config_.aggregation == Aggregation::kVote) votes[res.best_row] += 1.0;
     }
-    combined.best_row = best;
-  } else {
-    combined.best_row =
-        static_cast<std::size_t>(std::min_element(combined.sensed_distance.begin(),
-                                                  combined.sensed_distance.end()) -
-                                 combined.sensed_distance.begin());
+    combined.cost.latency = max_latency;
+
+    if (config_.aggregation == Aggregation::kVote) {
+      // Most votes wins; ties break toward the smaller summed sensed
+      // distance, then the lower row index.
+      std::size_t best = 0;
+      for (std::size_t r = 1; r < n_rows; ++r) {
+        if (votes[r] > votes[best] ||
+            (votes[r] == votes[best] &&
+             combined.sensed_distance[r] < combined.sensed_distance[best]))
+          best = r;
+      }
+      combined.best_row = best;
+    } else {
+      combined.best_row =
+          static_cast<std::size_t>(std::min_element(combined.sensed_distance.begin(),
+                                                    combined.sensed_distance.end()) -
+                                   combined.sensed_distance.begin());
+    }
   }
-  return combined;
+  return results;
+}
+
+SearchResult PartitionedCam::search(const std::vector<int>& query) const {
+  return std::move(search_batch({query})[0]);
 }
 
 std::size_t PartitionedCam::ideal_best_match(const std::vector<int>& query) const {

@@ -50,9 +50,18 @@ class PartitionedCam {
   /// segment width.
   void write_word(std::size_t row, const std::vector<int>& digits);
 
-  /// Best-match search for a full-width query using the configured
-  /// aggregation.  Also reports combined circuit cost (segments operate in
-  /// parallel: latency is the max, energy the sum).
+  /// Best-match search for a batch of full-width queries, each `repeats`
+  /// times, using the configured aggregation: one result per (query,
+  /// repeat), in that order.  Also reports each search's combined circuit
+  /// cost (segments operate in parallel: latency is the max, energy the
+  /// sum).  Each segment owns its sense-noise stream, so the enabled
+  /// segments search side by side (FeFetCamArray::search_batch) and their
+  /// results combine in segment order: the results equal `repeats` search()
+  /// calls per query in batch order, bit for bit, at any thread count.
+  std::vector<SearchResult> search_batch(const std::vector<std::vector<int>>& queries,
+                                         std::size_t repeats = 1) const;
+
+  /// One query's search: a one-row search_batch.
   SearchResult search(const std::vector<int>& query) const;
 
   /// Ideal (software) best match: exact summed distance over the full word.

@@ -1,5 +1,6 @@
 #include "hdc/cam_inference.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -57,14 +58,24 @@ std::size_t HdcCamInference::classify(const std::vector<double>& x, std::size_t 
 }
 
 std::size_t HdcCamInference::classify_digits(const std::vector<int>& q, std::size_t votes) const {
+  return classify_digits_batch({q}, votes)[0];
+}
+
+std::vector<std::size_t> HdcCamInference::classify_digits_batch(
+    const std::vector<std::vector<int>>& qs, std::size_t votes) const {
   XLDS_REQUIRE_MSG(votes >= 1 && votes % 2 == 1, "votes must be odd, got " << votes);
-  if (votes == 1) return cam_.search(q).best_row;
-  std::vector<std::size_t> tally(model_.n_classes(), 0);
-  for (std::size_t v = 0; v < votes; ++v) ++tally[cam_.search(q).best_row];
-  std::size_t best = 0;
-  for (std::size_t cls = 1; cls < tally.size(); ++cls)
-    if (tally[cls] > tally[best]) best = cls;
-  return best;
+  const std::vector<cam::SearchResult> results = cam_.search_batch(qs, votes);
+  std::vector<std::size_t> preds(qs.size());
+  std::vector<std::size_t> tally(model_.n_classes());
+  for (std::size_t i = 0; i < qs.size(); ++i) {
+    std::fill(tally.begin(), tally.end(), 0);
+    for (std::size_t v = 0; v < votes; ++v) ++tally[results[i * votes + v].best_row];
+    std::size_t best = 0;
+    for (std::size_t cls = 1; cls < tally.size(); ++cls)
+      if (tally[cls] > tally[best]) best = cls;
+    preds[i] = best;
+  }
+  return preds;
 }
 
 std::vector<std::vector<int>> HdcCamInference::query_digits_batch(const MatrixD& xs) const {
@@ -107,9 +118,16 @@ double HdcCamInference::accuracy(const std::vector<std::vector<double>>& xs,
                                  const std::vector<std::size_t>& ys, std::size_t votes) const {
   XLDS_REQUIRE(xs.size() == ys.size());
   XLDS_REQUIRE(!xs.empty());
+  const std::size_t dim = model_.encoder().input_dim();
+  MatrixD batch(xs.size(), dim);
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    XLDS_REQUIRE_MSG(xs[i].size() == dim, "input " << xs[i].size() << " != " << dim);
+    std::copy(xs[i].begin(), xs[i].end(), batch.row_data(i));
+  }
+  const std::vector<std::size_t> preds = classify_digits_batch(query_digits_batch(batch), votes);
   std::size_t correct = 0;
   for (std::size_t i = 0; i < xs.size(); ++i)
-    if (classify(xs[i], votes) == ys[i]) ++correct;
+    if (preds[i] == ys[i]) ++correct;
   return static_cast<double>(correct) / static_cast<double>(xs.size());
 }
 

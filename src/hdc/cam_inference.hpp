@@ -42,6 +42,8 @@ class HdcCamInference {
   /// degradation policy.  Ties break toward the lowest class index.
   std::size_t classify(const std::vector<double>& x, std::size_t votes = 1) const;
 
+  /// Fraction of `xs` classified as `ys`, by majority of `votes` searches:
+  /// one batched encode, then one batched search (classify_digits_batch).
   double accuracy(const std::vector<std::vector<double>>& xs,
                   const std::vector<std::size_t>& ys, std::size_t votes = 1) const;
 
@@ -49,16 +51,24 @@ class HdcCamInference {
   /// one encode path.  With the analog encoder the projections run through
   /// the tile fleet's batched MVM — parallel across tiles, and a batch reads
   /// exactly what its rows read one at a time, at any thread count.  The
-  /// CAM search stage stays per-query (it consumes the CAM sense-noise RNG,
-  /// which must advance in request order).
+  /// tiles draw read noise from their own streams, which no CAM search
+  /// touches, so encoding a batch before searching it changes no byte.
   std::vector<std::vector<int>> query_digits_batch(const MatrixD& xs) const;
 
   /// One input's query digits: a one-row query_digits_batch.
   std::vector<int> query_digits(const std::vector<double>& x) const;
 
-  /// Associative search over pre-encoded query digits, majority of `votes`
-  /// (odd; ties break toward the lowest class index) — lets a serving loop
-  /// split the batched encode from the sequential search stage.
+  /// Associative search over a batch of pre-encoded query digits, each
+  /// classified by majority of `votes` searches (odd; ties break toward the
+  /// lowest class index) — lets a serving loop split the batched encode from
+  /// the search stage.  The whole batch goes through one
+  /// cam::PartitionedCam::search_batch: segments side by side, each drawing
+  /// sense noise in (query, vote, row) order, so the predictions equal
+  /// query-by-query classification in batch order at any thread count.
+  std::vector<std::size_t> classify_digits_batch(const std::vector<std::vector<int>>& qs,
+                                                 std::size_t votes = 1) const;
+
+  /// One query's classification: a one-row classify_digits_batch.
   std::size_t classify_digits(const std::vector<int>& q, std::size_t votes = 1) const;
 
   /// Re-program every class hypervector into the CAM from the trained model

@@ -61,11 +61,7 @@ std::vector<std::size_t> ServedHdcModel::classify_batch(const std::vector<std::s
     XLDS_REQUIRE_MSG(ids[i] < ds_.test_x.size(), "request id out of pool");
     std::copy(ds_.test_x[ids[i]].begin(), ds_.test_x[ids[i]].end(), xs.row_data(i));
   }
-  const std::vector<std::vector<int>> digits = infer_.query_digits_batch(xs);
-  std::vector<std::size_t> preds(ids.size());
-  for (std::size_t i = 0; i < ids.size(); ++i)
-    preds[i] = infer_.classify_digits(digits[i], votes);
-  return preds;
+  return infer_.classify_digits_batch(infer_.query_digits_batch(xs), votes);
 }
 
 void ServedHdcModel::age(double dt) {

@@ -12,10 +12,10 @@
 //                          re-program only the drifted cells, with one
 //                          Crossbar::program_cells call per tile (the next
 //                          readout refactorizes a tile the repair changed).
-//   * classify_batch()   — batched analog encode through the tile fleet
-//                          (bit-identical at any thread count), then
-//                          per-request CAM searches in request order (the
-//                          sense-noise RNG must advance sequentially).
+//   * classify_batch()   — batched analog encode through the tile fleet,
+//                          then one batched CAM search of every request
+//                          (sense noise drawn per segment in request order),
+//                          bit-identical at any thread count.
 //
 // Search and encode costs are measured once at construction — search_cost()
 // consumes the CAM sense RNG, so sampling it lazily would perturb the
@@ -73,8 +73,9 @@ class ServedHdcModel {
   std::size_t label(std::size_t id) const { return ds_.test_y[id]; }
 
   /// Classify a batch of pool ids with `votes` CAM searches per request.
-  /// Encode is batched (and internally parallel); searches run in request
-  /// order.  Results are bit-identical at any thread count.
+  /// Encode and search are each one batch (and internally parallel); sense
+  /// noise is drawn in request order.  Results are bit-identical at any
+  /// thread count.
   std::vector<std::size_t> classify_batch(const std::vector<std::size_t>& ids,
                                           std::size_t votes) const;
 

@@ -75,26 +75,26 @@ Crossbar::Crossbar(Crossbar&& other) noexcept
 void Crossbar::invalidate_nodal_cache() {
   std::lock_guard<std::mutex> lk(nodal_cache_.mu);
   // A live factor dropped by a mutation (the counter's historical name).
-  if (nodal_cache_.solver != nullptr) core::Profiler::count_update_decline();
-  nodal_cache_.solver = nullptr;
+  if (nodal_cache_.ready) core::Profiler::count_update_decline();
+  nodal_cache_.ready = false;
   nodal_cache_.attempted = false;
 }
 
-std::shared_ptr<const NodalSolver> Crossbar::ensure_factorized() const {
+const NodalSolver* Crossbar::ensure_factorized() const {
+  if (!config_.nodal_direct) return nullptr;
   NodalCache& cache = nodal_cache_;
   std::lock_guard<std::mutex> lk(cache.mu);
   if (!cache.attempted) {
     cache.attempted = true;
-    auto solver = std::make_shared<NodalSolver>();
-    if (solver->factorize(g_, 1.0 / wire_r_per_cell_, config_.nodal_direct_max_bytes))
-      cache.solver = std::move(solver);
+    cache.ready =
+        cache.solver.factorize(g_, 1.0 / wire_r_per_cell_, config_.nodal_direct_max_bytes);
   }
-  return cache.solver;  // only ever a ready factor, or null
+  return cache.ready ? &cache.solver : nullptr;
 }
 
 bool Crossbar::nodal_factorized() const {
   std::lock_guard<std::mutex> lk(nodal_cache_.mu);
-  return nodal_cache_.solver != nullptr;
+  return nodal_cache_.ready;
 }
 
 void Crossbar::program_conductances(const MatrixD& targets) {
@@ -528,8 +528,7 @@ MatrixD Crossbar::readout_batch(const MatrixD& inputs,
       break;
     case IrDropMode::kNodal: {
       std::vector<SolveStatus> local(batch);
-      const std::shared_ptr<const NodalSolver> solver =
-          config_.nodal_direct ? ensure_factorized() : nullptr;
+      const NodalSolver* solver = ensure_factorized();
       if (solver != nullptr) currents_nodal_batch(*solver, v_in, out, local);
       // A query without a converged direct solve (direct path off or
       // declined, or a residual above the tolerance) takes the iterative

@@ -22,7 +22,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -209,14 +208,19 @@ class Crossbar {
  private:
   // Direct-solver cache.  Guarded by `mu` so concurrent const readouts (the
   // parallel evaluator shares arrays across worker threads) build the
-  // factorization exactly once without racing.
-  // Mutating the array (program/fault/age) while another thread reads is
-  // outside the contract, as it always was for the conductances themselves.
-  // A readout copies the shared_ptr under `mu` and then solves unlocked; a
-  // built factor is never mutated, only dropped, so the copy stays valid.
+  // factorization exactly once without racing.  The solver lives as long as
+  // the array: a mutation that changes a conductance clears `ready`, and the
+  // next nodal readout refactorizes into the same storage, so aging a tile
+  // allocates no new factor.  A readout takes the solver's address under
+  // `mu` and then solves unlocked.  No reference count guards the factor:
+  // mutating the array (program/fault/age) while another thread reads is
+  // outside the contract, as it always was for the conductances themselves,
+  // so no reader can hold the factor across the refactorization that
+  // overwrites it.
   struct NodalCache {
     std::mutex mu;
-    std::shared_ptr<const NodalSolver> solver;
+    NodalSolver solver;
+    bool ready = false;      ///< `solver` holds the current state's factor
     bool attempted = false;  ///< factorization tried since the last invalidation
   };
 
@@ -230,11 +234,12 @@ class Crossbar {
   /// [batch x rows]/[batch x cols], statuses has one entry per query.
   void currents_nodal_batch(const NodalSolver& solver, const MatrixD& v_in, MatrixD& out,
                             std::vector<SolveStatus>& statuses) const;
-  /// Lazily build (once per programming state) and return the cached direct
-  /// solver, or nullptr when disabled/declined.
-  std::shared_ptr<const NodalSolver> ensure_factorized() const;
-  /// Drop the cached factorization (the programmed conductances changed);
-  /// the next kNodal readout refactorizes.
+  /// Lazily (re)factorize, once per programming state, and return the cached
+  /// direct solver, or nullptr when the direct path is disabled or the
+  /// factorization was declined.
+  const NodalSolver* ensure_factorized() const;
+  /// Mark the cached factorization stale (the programmed conductances
+  /// changed); the next kNodal readout refactorizes into its storage.
   void invalidate_nodal_cache();
   /// Read-noise + dead-lane post-processing (consumes the instance RNG).
   void apply_readout_noise(double* currents) const;

@@ -41,8 +41,14 @@ nodal::Network NodalSolver::network() const noexcept {
 }
 
 bool NodalSolver::factorize(const MatrixD& g, double g_wire, std::size_t max_bytes) {
-  reset();
-  if (!(g_wire > 0.0) || !std::isfinite(g_wire) || g.empty()) return false;
+  // Every field is overwritten below and every vector is assign()ed, which
+  // keeps its capacity: refactorizing a same-shape array allocates nothing.
+  // Only a failure path calls the shrinking reset().
+  ready_ = false;
+  if (!(g_wire > 0.0) || !std::isfinite(g_wire) || g.empty()) {
+    reset();
+    return false;
+  }
   rows_ = g.rows();
   cols_ = g.cols();
   n_ = 2 * rows_ * cols_;
@@ -114,11 +120,12 @@ bool NodalSolver::factorize(const MatrixD& g, double g_wire, std::size_t max_byt
   }
 
   // --- profile LDL^T, in place, in panels of wide rows ----------------------
-  std::vector<double> t((bw_ + 2 * kPanel) * kPanel), l(t.size());
+  panel_t_.assign((bw_ + 2 * kPanel) * kPanel, 0.0);
+  panel_l_.assign(panel_t_.size(), 0.0);
   // SPD by construction (a connected resistor network with every node tied
   // to the driver or ground); a non-positive pivot means numeric breakdown
   // — decline and let the caller use Gauss-Seidel.
-  if (!kernels_->factorize(network(), vals_.data(), t.data(), l.data())) {
+  if (!kernels_->factorize(network(), vals_.data(), panel_t_.data(), panel_l_.data())) {
     reset();
     return false;
   }
@@ -141,6 +148,10 @@ void NodalSolver::reset() noexcept {
   off_.shrink_to_fit();
   vals_.clear();
   vals_.shrink_to_fit();
+  panel_t_.clear();
+  panel_t_.shrink_to_fit();
+  panel_l_.clear();
+  panel_l_.shrink_to_fit();
 }
 
 void NodalSolver::substitute(std::size_t width, const double* v_in, std::size_t v_stride,

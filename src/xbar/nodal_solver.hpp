@@ -74,14 +74,18 @@ class NodalSolver {
 
   /// Assemble the nodal conductance matrix for programmed conductances
   /// `g` (R x C, siemens) and per-segment wire conductance `g_wire`, then
-  /// factorize it.  Returns false — leaving the solver not ready — if the
-  /// factor would exceed `max_bytes` of storage or the factorization breaks
-  /// down numerically (the caller falls back to the iterative solve).
+  /// factorize it.  Returns false — leaving the solver not ready, its
+  /// storage released — if the factor would exceed `max_bytes` of storage or
+  /// the factorization breaks down numerically (the caller falls back to the
+  /// iterative solve).  A solver may be refactorized any number of times: a
+  /// factorization overwrites the previous one in the same storage, so a
+  /// same-shape refactorization allocates nothing and gives the bytes a
+  /// fresh solver would.
   bool factorize(const MatrixD& g, double g_wire, std::size_t max_bytes);
 
   bool ready() const noexcept { return ready_; }
 
-  /// Drop the factorization (programming state changed).
+  /// Drop the factorization and release its storage.
   void reset() noexcept;
 
   std::size_t rows() const noexcept { return rows_; }
@@ -167,6 +171,7 @@ class NodalSolver {
   std::vector<std::size_t> start_;  ///< first profile column of each row of L
   std::vector<std::size_t> off_;    ///< packed offset of L(i, start_[i]); size n+1
   std::vector<double> vals_;        ///< packed profile; diag slot holds D(i)
+  std::vector<double> panel_t_, panel_l_;  ///< factorize()'s panel scratch
 };
 
 }  // namespace xlds::xbar

@@ -4,13 +4,19 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "cam/acam.hpp"
 #include "cam/fefet_cam.hpp"
 #include "cam/partitioned.hpp"
 #include "cam/processor.hpp"
 #include "cam/rram_tcam.hpp"
+#include "fault/fault_map.hpp"
+#include "fault/policy.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace xlds::cam {
@@ -200,6 +206,199 @@ TEST_P(FeFetCamBits, IdealSearchCorrectAcrossPrecisions) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Precisions, FeFetCamBits, ::testing::Values(1, 2, 3, 4));
+
+// ---- search bytes -------------------------------------------------------------
+
+// Programming variation and sense noise on, and sensing fine enough to see
+// the last bits of every row sum: at 2^52 codes the log-domain step is about
+// 1e-15, so reordering a row's conductance sum, or drawing the sense noise
+// in another order, moves the sensed distances.
+FeFetCamConfig fine_noisy_config(std::size_t rows, std::size_t cols) {
+  FeFetCamConfig cfg;
+  cfg.fefet.bits = 3;
+  cfg.rows = rows;
+  cfg.cols = cols;
+  cfg.apply_variation = true;
+  cfg.sense_noise_rel = 0.02;
+  cfg.sense_levels = std::size_t{1} << 52;
+  return cfg;
+}
+
+std::vector<std::vector<int>> random_words(std::size_t n, std::size_t width, int levels,
+                                           Rng& data) {
+  std::vector<std::vector<int>> words(n, std::vector<int>(width));
+  for (auto& w : words)
+    for (int& d : w) d = static_cast<int>(data.uniform_u32(static_cast<std::uint32_t>(levels)));
+  return words;
+}
+
+// Queries near the stored words (one or two digits off, where the row sums
+// cancel hardest against the match baseline) and uniformly random ones.
+std::vector<std::vector<int>> query_stream(const std::vector<std::vector<int>>& words,
+                                           std::size_t n, int levels, Rng& data) {
+  std::vector<std::vector<int>> queries =
+      random_words(n, words[0].size(), levels, data);
+  for (std::size_t i = 0; i < n; i += 2) {
+    queries[i] = words[(i / 2) % words.size()];
+    for (int& d : queries[i])
+      if (d < 0) d = 0;  // a don't-care word cell: query level 0
+    const std::size_t c = data.uniform_u32(static_cast<std::uint32_t>(queries[i].size()));
+    queries[i][c] = (queries[i][c] + 1) % levels;
+  }
+  return queries;
+}
+
+// FNV-1a-64 of every sensed distance and best row that `repeats` search()
+// calls per query give, in query order.
+template <class Cam>
+std::uint64_t search_stream_digest(const Cam& cam, const std::vector<std::vector<int>>& queries,
+                                   std::size_t repeats) {
+  std::uint64_t h = util::kFnvOffsetBasis;
+  for (const std::vector<int>& q : queries) {
+    for (std::size_t v = 0; v < repeats; ++v) {
+      const SearchResult res = cam.search(q);
+      h = util::fnv1a64(res.sensed_distance.data(),
+                        res.sensed_distance.size() * sizeof(double), h);
+      const std::uint64_t best = res.best_row;
+      h = util::fnv1a64(&best, sizeof best, h);
+    }
+  }
+  return h;
+}
+
+// An 8 x 16 3-bit array with don't-care cells, a stuck-on, a stuck-off and
+// an open cell, and a dead matchline sense amp.
+FeFetCamArray faulted_array(std::uint64_t seed, std::vector<std::vector<int>>& words) {
+  Rng rng(seed);
+  FeFetCamArray cam(fine_noisy_config(8, 16), rng);
+  Rng data(seed + 1);
+  words = random_words(8, 16, cam.levels(), data);
+  words[3][2] = kDontCare;
+  words[5][11] = kDontCare;
+  for (std::size_t r = 0; r < words.size(); ++r) cam.write_word(r, words[r]);
+  fault::FaultMap map(8, 16);
+  map.set_cell(1, 3, fault::CellFault::kStuckOn);
+  map.set_cell(2, 5, fault::CellFault::kStuckOff);
+  map.set_cell(4, 7, fault::CellFault::kOpen);
+  map.set_row_sense_dead(6, true);
+  cam.apply_fault_map(map);
+  return cam;
+}
+
+// Pins what search() senses, byte for byte, so a change to the search
+// arithmetic or to its draw order cannot hide behind a twin comparison
+// that shares it.
+TEST(FeFetCam, SearchBytesArePinned) {
+  std::vector<std::vector<int>> words;
+  const FeFetCamArray cam = faulted_array(41, words);
+  ASSERT_EQ(cam.faulty_cell_count(), 3u);
+  ASSERT_EQ(cam.dead_sense_rows(), 1u);
+  Rng data(43);
+  const std::vector<std::vector<int>> queries = query_stream(words, 24, cam.levels(), data);
+  EXPECT_EQ(search_stream_digest(cam, queries, 1), 0x591a486292a647faull);
+  EXPECT_EQ(search_stream_digest(cam, queries, 3), 0xbfeee965300b8c4aull);
+}
+
+// A 68-wide word over 8-wide segments (the last one padded), with sampled
+// defects, dead sense amps and subarray exclusion.  Narrow segments split
+// the votes, so the two aggregations pick different rows.
+PartitionedCam faulted_partition(Aggregation agg, std::vector<std::vector<int>>& words) {
+  PartitionedCamConfig cfg;
+  cfg.subarray = fine_noisy_config(6, 8);
+  cfg.total_width = 68;
+  cfg.aggregation = agg;
+  Rng rng(47);
+  PartitionedCam cam(cfg, rng);
+  Rng data(48);
+  words = random_words(6, 68, 8, data);
+  for (std::size_t r = 0; r < words.size(); ++r) cam.write_word(r, words[r]);
+  fault::FaultSpec spec;
+  spec.stuck_on_rate = 0.02;
+  spec.stuck_off_rate = 0.02;
+  spec.wordline_open_rate = 0.01;
+  spec.senseamp_dead_rate = 0.05;
+  fault::GracefulPolicies policies;
+  policies.exclude_subarrays = true;
+  policies.exclusion_threshold = 0.1;
+  Rng fault_rng(49);
+  cam.inject_faults(spec, policies, fault_rng);
+  return cam;
+}
+
+TEST(PartitionedCam, SearchBytesArePinned) {
+  const std::uint64_t pins[2][2] = {{0xd8585c3079903c65ull, 0x14dbc993dc1cd520ull},
+                                    {0x10285f2d4f8857b2ull, 0x33f19b6e13f13882ull}};
+  for (const Aggregation agg : {Aggregation::kVote, Aggregation::kSumSensed}) {
+    std::vector<std::vector<int>> words;
+    const PartitionedCam cam = faulted_partition(agg, words);
+    ASSERT_EQ(cam.segments(), 9u);
+    ASSERT_GT(cam.enabled_segments(), 0u);
+    ASSERT_LT(cam.enabled_segments(), cam.segments());  // a segment is excluded
+    Rng data(50);
+    const std::vector<std::vector<int>> queries = query_stream(words, 16, 8, data);
+    const std::size_t a = agg == Aggregation::kVote ? 0 : 1;
+    EXPECT_EQ(search_stream_digest(cam, queries, 1), pins[a][0]) << to_string(agg);
+    EXPECT_EQ(search_stream_digest(cam, queries, 3), pins[a][1]) << to_string(agg);
+  }
+}
+
+void expect_same_result(const SearchResult& got, const SearchResult& want, const char* what,
+                        std::size_t k) {
+  EXPECT_EQ(got.sensed_distance, want.sensed_distance) << what << ", result " << k;
+  EXPECT_EQ(got.best_row, want.best_row) << what << ", result " << k;
+  EXPECT_EQ(got.cost.latency, want.cost.latency) << what << ", result " << k;
+  EXPECT_EQ(got.cost.energy, want.cost.energy) << what << ", result " << k;
+}
+
+// search_batch over one array equals search() calls, repeat by repeat, on a
+// twin, at pool widths 1 and 8: the rows are summed on several lanes, and
+// the noise is still drawn in (query, repeat, row) order.
+TEST(FeFetCam, SearchBatchMatchesSearchCalls) {
+  for (const std::size_t repeats : {std::size_t{1}, std::size_t{3}}) {
+    std::vector<std::vector<SearchResult>> per_width;
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+      set_parallel_threads(threads);
+      Rng r_batch(51), r_single(51);
+      FeFetCamArray batched(fine_noisy_config(24, 64), r_batch);
+      FeFetCamArray single(fine_noisy_config(24, 64), r_single);
+      Rng data(52);
+      const std::vector<std::vector<int>> words = random_words(24, 64, batched.levels(), data);
+      for (std::size_t r = 0; r < words.size(); ++r) {
+        batched.write_word(r, words[r]);
+        single.write_word(r, words[r]);
+      }
+      const std::vector<std::vector<int>> queries = query_stream(words, 19, batched.levels(), data);
+      const std::vector<SearchResult> got = batched.search_batch(queries, repeats);
+      ASSERT_EQ(got.size(), queries.size() * repeats);
+      for (std::size_t k = 0; k < got.size(); ++k)
+        expect_same_result(got[k], single.search(queries[k / repeats]), "batch vs calls", k);
+      per_width.push_back(got);
+    }
+    for (std::size_t k = 0; k < per_width[0].size(); ++k)
+      expect_same_result(per_width[1][k], per_width[0][k], "8 lanes vs 1", k);
+  }
+  set_parallel_threads(0);
+}
+
+// The same for a partitioned CAM, whose segments search side by side.
+TEST(PartitionedCam, SearchBatchMatchesSearchCalls) {
+  set_parallel_threads(8);
+  for (const Aggregation agg : {Aggregation::kVote, Aggregation::kSumSensed}) {
+    for (const std::size_t repeats : {std::size_t{1}, std::size_t{3}}) {
+      std::vector<std::vector<int>> words;
+      const PartitionedCam batched = faulted_partition(agg, words);
+      const PartitionedCam single = faulted_partition(agg, words);
+      Rng data(53);
+      const std::vector<std::vector<int>> queries = query_stream(words, 19, 8, data);
+      const std::vector<SearchResult> got = batched.search_batch(queries, repeats);
+      ASSERT_EQ(got.size(), queries.size() * repeats);
+      for (std::size_t k = 0; k < got.size(); ++k)
+        expect_same_result(got[k], single.search(queries[k / repeats]), to_string(agg).c_str(),
+                           k);
+    }
+  }
+  set_parallel_threads(0);
+}
 
 // ---- RramTcamArray --------------------------------------------------------
 

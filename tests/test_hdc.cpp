@@ -368,6 +368,49 @@ TEST(CamInference, QueryDigitsBatchMatchesPerQueryDigits) {
   set_parallel_threads(0);
 }
 
+// accuracy() encodes the whole set in one batch and searches it in one
+// batch: it must score what a twin's per-sample classify() loop scores, with
+// the software and the analog encoder and at 1 and 3 votes, and leave every
+// stream where the loop leaves it (the second pass starts from there).
+TEST(CamInference, AccuracyMatchesPerSampleClassify) {
+  const auto ds = small_dataset(13);
+  Rng rng(20);
+  HdcConfig model_cfg = small_config(3);
+  model_cfg.hv_dim = 128;
+  HdcModel model(model_cfg, ds.dim, ds.n_classes, rng);
+  model.train(ds.train_x, ds.train_y);
+
+  CamInferenceConfig cfg;
+  cfg.subarray = cam_subarray(3, 32);  // 4 segments
+  cfg.subarray.apply_variation = true;
+  // Noisy enough that some predictions flip, so a different draw order shows.
+  cfg.subarray.sense_noise_rel = 0.3;
+  cfg.encoder_tiles.tile.rows = 16;
+  cfg.encoder_tiles.tile.cols = 32;
+  cfg.encoder_tiles.tile.read_noise_rel = 0.005;
+  cfg.encoder_tiles.tile.ir_drop = xbar::IrDropMode::kNodal;
+  const double n = static_cast<double>(ds.test_x.size());
+  for (const bool analog : {false, true}) {
+    cfg.analog_encode = analog;
+    for (const std::size_t votes : {std::size_t{1}, std::size_t{3}}) {
+      Rng r_batch(21), r_loop(21);
+      const HdcCamInference batched(model, cfg, r_batch);
+      const HdcCamInference looped(model, cfg, r_loop);
+      for (int pass = 0; pass < 2; ++pass) {
+        std::size_t correct = 0;
+        for (std::size_t i = 0; i < ds.test_x.size(); ++i)
+          if (looped.classify(ds.test_x[i], votes) == ds.test_y[i]) ++correct;
+        const double acc = batched.accuracy(ds.test_x, ds.test_y, votes);
+        EXPECT_EQ(acc, static_cast<double>(correct) / n)
+            << (analog ? "analog" : "software") << " encode, " << votes << " votes, pass "
+            << pass;
+        EXPECT_GT(acc, 0.3);
+        EXPECT_LT(acc, 1.0);
+      }
+    }
+  }
+}
+
 TEST(CamInference, AnalogEncodeRejectsRecordEncoder) {
   const auto ds = small_dataset(11);
   Rng rng(17);

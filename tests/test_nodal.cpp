@@ -490,24 +490,33 @@ TEST_F(NodalTest, ConcurrentReadoutsOnSharedInstanceAgree) {
   // The parallel evaluator shares const arrays across worker threads: many
   // threads race to build the factorization (exactly once, under the cache
   // mutex).  With read noise off, every thread must see the same currents.
+  // Each round ends with one serial mutation, so the next round's
+  // factorization overwrites the last one in the same storage; every round
+  // must still read what a fresh array programmed the same way reads.
   set_parallel_threads(8);
   auto cfg = quiet_config(16, 16);
   Rng rng(53);
   xbar::Crossbar xb(cfg, rng);
-  xb.program_conductances(mixed_conductances(16, 16, cfg.rram, 111));
   const std::vector<double> x = ramp_input(16);
-  const auto reference = xb.column_currents(x);
+  xb.program_conductances(mixed_conductances(16, 16, cfg.rram, 111));
+  for (std::uint64_t round = 0; round < 4; ++round) {
+    Rng fresh_rng(54);
+    xbar::Crossbar fresh(cfg, fresh_rng);
+    fresh.program_conductances(mixed_conductances(16, 16, cfg.rram, 111 + round));
+    const std::vector<double> reference = fresh.column_currents(x);
 
-  xb.program_conductances(mixed_conductances(16, 16, cfg.rram, 112));  // invalidate
-  std::vector<std::vector<double>> results(16);
-  parallel_for(16, 1, [&](std::size_t begin, std::size_t end, std::size_t) {
-    for (std::size_t i = begin; i < end; ++i) results[i] = xb.column_currents(x);
-  });
-  for (std::size_t i = 1; i < results.size(); ++i)
-    for (std::size_t c = 0; c < results[i].size(); ++c)
-      EXPECT_EQ(results[i][c], results[0][c]) << "thread result " << i << " column " << c;
-  EXPECT_TRUE(xb.nodal_factorized());
-  (void)reference;
+    std::vector<std::vector<double>> results(8);
+    parallel_for(results.size(), 1, [&](std::size_t begin, std::size_t end, std::size_t) {
+      for (std::size_t i = begin; i < end; ++i) results[i] = xb.column_currents(x);
+    });
+    for (std::size_t i = 0; i < results.size(); ++i)
+      for (std::size_t c = 0; c < reference.size(); ++c)
+        EXPECT_EQ(results[i][c], reference[c])
+            << "round " << round << ", lane result " << i << ", column " << c;
+    EXPECT_TRUE(xb.nodal_factorized());
+    xb.program_conductances(mixed_conductances(16, 16, cfg.rram, 112 + round));  // stale
+    EXPECT_FALSE(xb.nodal_factorized());
+  }
 }
 
 // ---- NodalSolver unit behaviour ---------------------------------------------
@@ -524,6 +533,47 @@ TEST_F(NodalTest, SolverDeclinesDegenerateInputs) {
   EXPECT_EQ(solver.node_count(), 32u);
   solver.reset();
   EXPECT_FALSE(solver.ready());
+}
+
+TEST_F(NodalTest, RefactorizationReusesFactorStorage) {
+  // A refactorization overwrites the previous factor in its storage, and
+  // the bytes equal a fresh solver's.  A factorization the byte cap declines
+  // releases the storage; the next one still matches a fresh solver.
+  const device::RramParams p;
+  const MatrixD a = mixed_conductances(12, 10, p, 121);
+  const MatrixD b = mixed_conductances(12, 10, p, 122);
+  constexpr double kGWire = 2.0e3;
+  const std::vector<double> v_in = ramp_input(12);
+  xbar::NodalSolver fresh;
+  ASSERT_TRUE(fresh.factorize(b, kGWire, 1u << 24));
+  std::vector<double> i_fresh(10);
+  xbar::NodalSolver::Workspace ws;
+  const auto r_fresh = fresh.solve(v_in.data(), i_fresh.data(), ws);
+
+  const auto expect_fresh_bytes = [&](const xbar::NodalSolver& s, const char* what) {
+    ASSERT_EQ(s.factor().size(), fresh.factor().size()) << what;
+    EXPECT_EQ(std::memcmp(s.factor().data(), fresh.factor().data(),
+                          fresh.factor().size() * sizeof(double)),
+              0)
+        << what;
+    std::vector<double> i_col(10);
+    const auto r = s.solve(v_in.data(), i_col.data(), ws);
+    EXPECT_EQ(std::memcmp(i_col.data(), i_fresh.data(), i_col.size() * sizeof(double)), 0)
+        << what;
+    EXPECT_EQ(r.residual, r_fresh.residual) << what;
+  };
+
+  xbar::NodalSolver reused;
+  ASSERT_TRUE(reused.factorize(a, kGWire, 1u << 24));
+  const double* storage = reused.factor().data();
+  ASSERT_TRUE(reused.factorize(b, kGWire, 1u << 24));
+  EXPECT_EQ(reused.factor().data(), storage);
+  expect_fresh_bytes(reused, "refactorized");
+
+  EXPECT_FALSE(reused.factorize(a, kGWire, 8));  // declined by the byte cap
+  EXPECT_FALSE(reused.ready());
+  ASSERT_TRUE(reused.factorize(b, kGWire, 1u << 24));
+  expect_fresh_bytes(reused, "refactorized after a decline");
 }
 
 TEST_F(NodalTest, SolverIsBitwiseDeterministicAcrossInstances) {
