@@ -6,10 +6,8 @@
 // sweep can afford.
 //
 // After the google-benchmark suite, main() measures the kernels-vs-scalar
-// speedups and writes BENCH_kernels.json, then measures the Monte-Carlo-sweep
-// throughput of the deterministic parallel layer (the fig3g variation-sweep
-// kernel, batched and scalar) at 1/2/4/8 threads and writes
-// BENCH_parallel_sweep.json so the perf trajectory is tracked across PRs.
+// speedups, the fig3g Monte-Carlo variation sweep (batched vs scalar, on one
+// lane) among them, and writes BENCH_kernels.json.
 //
 // `micro_kernels --kernel-smoke` runs only a ~1 s sanity comparison and exits
 // nonzero if the packed Hamming kernel is slower than the scalar reference —
@@ -21,7 +19,6 @@
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <thread>
 
 #include "cam/fefet_cam.hpp"
 #include "cam/rram_tcam.hpp"
@@ -245,6 +242,56 @@ double time_best(Fn&& fn, int iters, int reps = 3) {
   return best;
 }
 
+/// The fig3g_variation_accuracy Monte Carlo kernel, scalar form: one
+/// program-and-read-back per trial through rng.normal.  Returns the error
+/// count.
+std::size_t run_mc_sweep_scalar(std::size_t trials) {
+  device::FeFetParams params;
+  params.bits = 3;
+  params.sigma_program = 0.094;
+  const device::FeFetModel model(params);
+  const int mid = params.levels() / 2;
+  constexpr std::size_t kChunk = 500;
+  Rng rng(7);
+  std::vector<std::size_t> chunk_errors((trials + kChunk - 1) / kChunk, 0);
+  parallel_for_rng(rng, trials, kChunk,
+                   [&](Rng& trial_rng, std::size_t begin, std::size_t end, std::size_t ci) {
+                     std::size_t errors = 0;
+                     for (std::size_t t = begin; t < end; ++t)
+                       if (model.readback_level(model.program_vth(mid, trial_rng)) != mid)
+                         ++errors;
+                     chunk_errors[ci] = errors;
+                   });
+  std::size_t errors = 0;
+  for (std::size_t e : chunk_errors) errors += e;
+  return errors;
+}
+
+/// Batched form: per chunk, one fill_normal_fast block plus one vectorised
+/// readback_errors pass.  Same estimator with its own draw sequence, so its
+/// error count differs from the scalar kernel's.
+std::size_t run_mc_sweep_batched(std::size_t trials) {
+  device::FeFetParams params;
+  params.bits = 3;
+  params.sigma_program = 0.094;
+  const device::FeFetModel model(params);
+  const int mid = params.levels() / 2;
+  const double mid_vth = model.level_vth(mid);
+  constexpr std::size_t kChunk = 2000;
+  Rng rng(7);
+  std::vector<std::size_t> chunk_errors((trials + kChunk - 1) / kChunk, 0);
+  parallel_for_rng(rng, trials, kChunk,
+                   [&](Rng& trial_rng, std::size_t begin, std::size_t end, std::size_t ci) {
+                     std::vector<double> vth(end - begin);
+                     kernels::fill_normal_fast(trial_rng, vth.data(), vth.size(), mid_vth,
+                                               params.sigma_program);
+                     chunk_errors[ci] = model.readback_errors(mid, vth.data(), vth.size());
+                   });
+  std::size_t errors = 0;
+  for (std::size_t e : chunk_errors) errors += e;
+  return errors;
+}
+
 struct KernelComparison {
   const char* name;
   const char* scalar_path;
@@ -253,7 +300,7 @@ struct KernelComparison {
   double speedup() const { return scalar_seconds / kernel_seconds; }
 };
 
-/// Measure the three headline kernels against their scalar predecessors.
+/// Measure the headline kernels against their scalar predecessors.
 /// `quick` shrinks the iteration counts for the ~1 s CI smoke run.
 std::vector<KernelComparison> measure_kernels(bool quick) {
   std::vector<KernelComparison> out;
@@ -302,6 +349,18 @@ std::vector<KernelComparison> measure_kernels(bool quick) {
         iters);
     benchmark::DoNotOptimize(block.data());
     out.push_back({"fill_normal_fast_4096", "per-call polar rng.normal", scalar, kernel});
+  }
+
+  {  // The fig3g Monte-Carlo sweep on one lane: batched draws and readback
+     // per chunk vs one rng.normal program-and-read-back per trial.
+    constexpr std::size_t kTrials = 500'000;
+    set_parallel_threads(1);
+    std::size_t sink = 0;
+    const double scalar = time_best([&] { sink += run_mc_sweep_scalar(kTrials); }, scale);
+    const double kernel = time_best([&] { sink += run_mc_sweep_batched(kTrials); }, scale);
+    set_parallel_threads(0);  // back to XLDS_THREADS / hardware default
+    benchmark::DoNotOptimize(sink);
+    out.push_back({"mc_sweep_500k", "per-trial rng.normal program+readback", scalar, kernel});
   }
   return out;
 }
@@ -360,144 +419,6 @@ int run_kernel_smoke() {
   return ok ? 0 : 1;
 }
 
-// ---- Monte-Carlo-sweep throughput of the parallel layer ---------------------
-
-/// The fig3g_variation_accuracy Monte Carlo kernel, scalar form: one
-/// program-and-read-back per trial through rng.normal — the pre-kernels
-/// baseline this PR's batched path is measured against.
-std::size_t run_mc_sweep_scalar(std::size_t trials) {
-  device::FeFetParams params;
-  params.bits = 3;
-  params.sigma_program = 0.094;
-  const device::FeFetModel model(params);
-  const int mid = params.levels() / 2;
-  constexpr std::size_t kChunk = 500;  // thread-count-independent chunking
-  Rng rng(7);
-  std::vector<std::size_t> chunk_errors((trials + kChunk - 1) / kChunk, 0);
-  // The work floor groups whole chunks into scheduler tasks so a small sweep
-  // doesn't pay per-chunk dispatch; chunk boundaries (and the checksum) are
-  // untouched by it.
-  parallel_for_rng(
-      rng, trials, kChunk,
-      [&](Rng& trial_rng, std::size_t begin, std::size_t end, std::size_t ci) {
-        std::size_t errors = 0;
-        for (std::size_t t = begin; t < end; ++t)
-          if (model.readback_level(model.program_vth(mid, trial_rng)) != mid) ++errors;
-        chunk_errors[ci] = errors;
-      },
-      /*min_items_per_task=*/16000);
-  std::size_t errors = 0;
-  for (std::size_t e : chunk_errors) errors += e;
-  return errors;
-}
-
-/// Batched form: per chunk, one fill_normal_fast block plus one vectorised
-/// readback_errors pass.  Same estimator, same determinism contract (the
-/// checksum is a pure function of (seed, trials, chunk) at any thread
-/// count); its own draw sequence, so the checksum differs from the scalar
-/// kernel's.
-std::size_t run_mc_sweep_batched(std::size_t trials) {
-  device::FeFetParams params;
-  params.bits = 3;
-  params.sigma_program = 0.094;
-  const device::FeFetModel model(params);
-  const int mid = params.levels() / 2;
-  const double mid_vth = model.level_vth(mid);
-  constexpr std::size_t kChunk = 2000;  // batches amortise; still ~250 chunks of work
-  Rng rng(7);
-  std::vector<std::size_t> chunk_errors((trials + kChunk - 1) / kChunk, 0);
-  // Same minimum-work floor as the scalar sweep: grouping chunks into tasks
-  // fixes the old small-batch negative scaling (threads slower than one)
-  // without moving any chunk boundary — the checksum cannot change.
-  parallel_for_rng(
-      rng, trials, kChunk,
-      [&](Rng& trial_rng, std::size_t begin, std::size_t end, std::size_t ci) {
-        std::vector<double> vth(end - begin);
-        kernels::fill_normal_fast(trial_rng, vth.data(), vth.size(), mid_vth,
-                                  params.sigma_program);
-        chunk_errors[ci] = model.readback_errors(mid, vth.data(), vth.size());
-      },
-      /*min_items_per_task=*/16000);
-  std::size_t errors = 0;
-  for (std::size_t e : chunk_errors) errors += e;
-  return errors;
-}
-
-void emit_parallel_sweep_json() {
-  constexpr std::size_t kTrials = 500'000;
-  constexpr int kReps = 3;
-  struct Point {
-    std::size_t threads = 0;
-    double seconds = 0.0;
-    std::size_t checksum = 0;
-  };
-
-  // Pre-kernels baseline: the scalar per-trial path at one thread.
-  set_parallel_threads(1);
-  double scalar_1t = 1e30;
-  std::size_t scalar_checksum = 0;
-  for (int rep = 0; rep < kReps; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
-    scalar_checksum = run_mc_sweep_scalar(kTrials);
-    const auto t1 = std::chrono::steady_clock::now();
-    scalar_1t = std::min(scalar_1t, std::chrono::duration<double>(t1 - t0).count());
-  }
-
-  std::vector<Point> points;
-  for (std::size_t threads : {1u, 2u, 4u, 8u}) {
-    set_parallel_threads(threads);
-    Point pt;
-    pt.threads = threads;
-    pt.seconds = 1e30;
-    for (int rep = 0; rep < kReps; ++rep) {
-      const auto t0 = std::chrono::steady_clock::now();
-      const std::size_t checksum = run_mc_sweep_batched(kTrials);
-      const auto t1 = std::chrono::steady_clock::now();
-      pt.seconds = std::min(pt.seconds, std::chrono::duration<double>(t1 - t0).count());
-      pt.checksum = checksum;
-    }
-    points.push_back(pt);
-  }
-  set_parallel_threads(0);  // back to XLDS_THREADS / hardware default
-
-  bool deterministic = true;
-  for (const Point& pt : points) deterministic &= pt.checksum == points.front().checksum;
-  const double t1s = points.front().seconds;
-
-  std::ofstream json("BENCH_parallel_sweep.json");
-  json << "{\n"
-       << "  \"bench\": \"fig3g_variation_accuracy_mc_sweep\",\n"
-       << "  \"kernel\": \"3-bit FeFET program+readback @ 94 mV sigma (batched)\",\n"
-       << "  \"trials\": " << kTrials << ",\n"
-       << "  \"hardware_threads\": " << std::thread::hardware_concurrency() << ",\n"
-       << "  \"scalar_baseline\": {\"threads\": 1, \"seconds\": " << scalar_1t
-       << ", \"checksum\": " << scalar_checksum << "},\n"
-       << "  \"deterministic_across_thread_counts\": " << (deterministic ? "true" : "false")
-       << ",\n"
-       << "  \"results\": [\n";
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const Point& pt = points[i];
-    json << "    {\"threads\": " << pt.threads << ", \"seconds\": " << pt.seconds
-         << ", \"trials_per_sec\": " << static_cast<double>(kTrials) / pt.seconds
-         << ", \"speedup_vs_1t\": " << t1s / pt.seconds
-         << ", \"speedup_vs_scalar_1t\": " << scalar_1t / pt.seconds
-         << ", \"checksum\": " << pt.checksum << "}" << (i + 1 < points.size() ? "," : "")
-         << "\n";
-  }
-  json << "  ]\n}\n";
-
-  std::cout << "\nParallel Monte-Carlo sweep (" << kTrials << " trials, fig3g kernel):\n";
-  std::cout << "  scalar baseline, 1 thread: " << scalar_1t * 1e3 << " ms, checksum "
-            << scalar_checksum << "\n";
-  for (const Point& pt : points)
-    std::cout << "  batched, " << pt.threads << " thread(s): " << pt.seconds * 1e3 << " ms, "
-              << static_cast<double>(kTrials) / pt.seconds / 1e6
-              << " Mtrials/s, speedup vs scalar " << scalar_1t / pt.seconds << "x, checksum "
-              << pt.checksum << "\n";
-  std::cout << "  determinism across thread counts: " << (deterministic ? "OK" : "VIOLATED")
-            << "\n  -> BENCH_parallel_sweep.json\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -508,6 +429,5 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   emit_kernels_json();
-  emit_parallel_sweep_json();
   return 0;
 }

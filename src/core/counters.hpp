@@ -2,9 +2,8 @@
 // header-only so low-level libraries — the nodal solver lives below
 // xlds_core in the link order — can bump them without a dependency edge).
 // Benches and the DSE engine snapshot these to report how often the nodal
-// solver factorizes, substitutes and falls back to Gauss-Seidel; they are
-// diagnostics, never inputs, so reading or resetting them cannot change any
-// result.
+// solver factorizes and substitutes; they are diagnostics, never inputs, so
+// reading or resetting them cannot change any result.
 //
 // Each counts struct lists its fields once, in each(); the arithmetic, the
 // Profiler's snapshot/fold/reset and the shard wire's counts blocks all walk
@@ -20,7 +19,6 @@ namespace xlds::core {
 struct NodalCounts {
   std::uint64_t factorizations = 0;     ///< full envelope LDL^T builds
   std::uint64_t direct_solves = 0;      ///< substitutions against a cached factor
-  std::uint64_t gs_solves = 0;          ///< iterative Gauss-Seidel solves
   std::uint64_t incremental_updates = 0;///< always 0; kept only because perfbench reads it
   std::uint64_t update_declines = 0;    ///< live factors dropped by a mutation
 
@@ -29,7 +27,6 @@ struct NodalCounts {
   static void each(F&& f, S&... s) {
     f(s.factorizations...);
     f(s.direct_solves...);
-    f(s.gs_solves...);
     f(s.incremental_updates...);
     f(s.update_declines...);
   }
@@ -103,7 +100,6 @@ class Profiler {
 
   static void count_factorization() noexcept { bump(nodal_.factorizations); }
   static void count_direct_solve() noexcept { bump(nodal_.direct_solves); }
-  static void count_gs_solve() noexcept { bump(nodal_.gs_solves); }
   static void count_update_decline() noexcept { bump(nodal_.update_declines); }
 
   static void count_request_served() noexcept { bump(serve_.requests_served); }

@@ -43,8 +43,8 @@ std::string percent(double fraction) {
 // --- nodal tier: IR-drop model error on the canonical 64x64 tile ----------
 //
 // The analytic triage model costs MVMs with the two-pass IR-drop estimate;
-// the nodal rung measures how far that estimate sits from the Gauss-Seidel
-// ground truth on a half-loaded tile and charges the gap against accuracy
+// the nodal rung measures how far that estimate sits from the direct nodal
+// solve on a half-loaded tile and charges the gap against accuracy
 // (unmodelled IR drop is computation error, not just delay).  One solve per
 // device kind, memoised process-wide: the solve is a pure function of the
 // device, and a search promotes many points per device.  The first caller
@@ -61,12 +61,6 @@ double nodal_ir_error_uncached(device::DeviceKind dev) {
   cfg.cols = 64;
   cfg.apply_variation = false;
   cfg.read_noise_rel = 0.0;
-  // The cached direct solver answers this in one factorize + substitution.
-  // The iteration bump only matters on the Gauss-Seidel fallback path
-  // (nodal_direct off or declined): a half-loaded 64x64 tile needs more
-  // sweeps than the default budget, and an unconverged solve would fall
-  // back to the analytic estimate and silently zero the rung's signal.
-  cfg.nodal_max_iters = 20000;
   Rng fill(kTileSeed ^ static_cast<std::uint64_t>(dev));
   MatrixD g(cfg.rows, cfg.cols, cfg.rram.g_min);
   // Block Bernoulli draw (same stream consumption as the per-cell loop).
@@ -85,9 +79,7 @@ double nodal_ir_error_uncached(device::DeviceKind dev) {
 
   const std::vector<double> ones(cfg.rows, 1.0);
   const std::vector<double> ia = analytic.column_currents(ones);
-  xbar::SolveStatus status;
-  const std::vector<double> in = nodal.column_currents(ones, status);
-  XLDS_ASSERT(status.converged || status.used_fallback);
+  const std::vector<double> in = nodal.column_currents(ones);
   double err = 0.0;
   std::size_t n = 0;
   for (std::size_t c = 0; c < ia.size(); ++c) {

@@ -1,7 +1,7 @@
 // The fidelity ladder: the same design point costed at four model tiers.
 //
 // The codebase has always contained cheap-to-expensive models of the same
-// physics — the analytic triage FOMs (core::Evaluator), the Gauss-Seidel
+// physics — the analytic triage FOMs (core::Evaluator), the exact
 // nodal IR-drop solve and the variation-aware Eva-CAM margins, and the
 // Monte-Carlo fault/variation accuracy measurements (fault::
 // ResilienceEvaluator) — but only ever ran them in separate benches.  The

@@ -257,7 +257,6 @@ util::Json result_to_json(const ExplorationResult& result, bool include_stats) {
     util::Json nodal = util::Json::object();
     nodal.set("factorizations", s.nodal.factorizations);
     nodal.set("direct_solves", s.nodal.direct_solves);
-    nodal.set("gs_solves", s.nodal.gs_solves);
     nodal.set("update_declines", s.nodal.update_declines);
     stats.set("nodal", std::move(nodal));
     util::Json sched = util::Json::object();

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iostream>
+#include <sstream>
 #include <utility>
 
 #include "core/counters.hpp"
@@ -15,16 +15,6 @@ namespace xlds::xbar {
 
 namespace {
 constexpr std::uint64_t kXbarStreamTag = 0xC205BA2;
-
-// Status of a direct solve: converged iff its Jacobi-scaled residual clears
-// the Gauss-Seidel acceptance bar `tol`.
-SolveStatus direct_status(const NodalSolver::Result& res, double tol) {
-  SolveStatus s;
-  s.direct = true;
-  s.residual = res.residual;
-  s.converged = res.residual < tol;
-  return s;
-}
 }  // namespace
 
 std::string to_string(IrDropMode mode) {
@@ -49,7 +39,6 @@ Crossbar::Crossbar(CrossbarConfig config, Rng& rng)
   XLDS_REQUIRE(config_.read_voltage > 0.0);
   XLDS_REQUIRE(config_.adcs_per_array >= 1);
   XLDS_REQUIRE(config_.settle_time > 0.0);
-  XLDS_REQUIRE(config_.nodal_max_iters >= 1);
 }
 
 Crossbar::Crossbar(const Crossbar& other)
@@ -77,19 +66,23 @@ void Crossbar::invalidate_nodal_cache() {
   // A live factor dropped by a mutation (the counter's historical name).
   if (nodal_cache_.ready) core::Profiler::count_update_decline();
   nodal_cache_.ready = false;
-  nodal_cache_.attempted = false;
 }
 
-const NodalSolver* Crossbar::ensure_factorized() const {
-  if (!config_.nodal_direct) return nullptr;
+const NodalSolver& Crossbar::ensure_factorized() const {
   NodalCache& cache = nodal_cache_;
   std::lock_guard<std::mutex> lk(cache.mu);
-  if (!cache.attempted) {
-    cache.attempted = true;
-    cache.ready =
-        cache.solver.factorize(g_, 1.0 / wire_r_per_cell_, config_.nodal_direct_max_bytes);
+  if (!cache.ready) {
+    cache.ready = cache.solver.factorize(g_, 1.0 / wire_r_per_cell_, kNodalMaxFactorBytes);
+    if (!cache.ready) {
+      std::ostringstream os;
+      os << "nodal IR-drop solve of a " << config_.rows << 'x' << config_.cols
+         << " array declined: its LDL^T factor would exceed the "
+         << (kNodalMaxFactorBytes >> 20) << " MiB cap (kNodalMaxFactorBytes), or a pivot "
+         << "broke down";
+      throw ModelDomainError(os.str());
+    }
   }
-  return cache.ready ? &cache.solver : nullptr;
+  return cache.solver;
 }
 
 bool Crossbar::nodal_factorized() const {
@@ -303,139 +296,19 @@ std::vector<double> Crossbar::currents_analytic(const double* v_in) const {
   return out;
 }
 
-std::vector<double> Crossbar::currents_nodal_gs(const double* v_in, SolveStatus& status) const {
-  // Red-black Gauss-Seidel nodal solve of the two-wire-layer resistive
-  // network.  Nodes are coloured by (r + c) parity; within one colour the
-  // row-node update only reads same-cell and same-row opposite-colour
-  // neighbours, and the column-node update only reads opposite-colour
-  // neighbours in adjacent rows — so all rows of one colour can relax
-  // concurrently with no races, and the update order (hence the iterate
-  // sequence and iteration count) is fixed regardless of thread count.
-  core::Profiler::count_gs_solve();
-  const std::size_t R = config_.rows, C = config_.cols;
-  const double gw = 1.0 / wire_r_per_cell_;
-  // Cold start: every row wire at its driver voltage, column wires at
-  // ground.  The result is then a function of (conductances, input) alone.
-  MatrixD v(R, C, 0.0);  // row-wire node voltages
-  MatrixD u(R, C, 0.0);  // column-wire node voltages
-  for (std::size_t r = 0; r < R; ++r)
-    for (std::size_t c = 0; c < C; ++c) v(r, c) = v_in[r];
-
-  // Relax every cell of `colour` in row r (v first, then u) and return the
-  // row's largest update.  Row-pointer sweep: within one colour pass the
-  // cells written stride by 2 and every neighbour read is the opposite
-  // colour, so hoisting the row base pointers (instead of going through the
-  // bounds-checked Matrix accessor per read) changes no arithmetic.
-  const auto relax_row = [&](std::size_t r, std::size_t colour) {
-    double row_delta = 0.0;
-    const double* gr = g_.row_data(r);
-    double* vr = v.row_data(r);
-    double* ur = u.row_data(r);
-    const double* u_above = r > 0 ? u.row_data(r - 1) : nullptr;
-    const double* u_below = r + 1 < R ? u.row_data(r + 1) : nullptr;
-    const double vin_r = v_in[r];
-    for (std::size_t c = (r + colour) & 1u; c < C; c += 2) {
-      const double gc = gr[c];
-      // Row node: neighbours along the row wire; the c==0 node ties to the
-      // driver (ideal source v_in) through one wire segment.
-      double num = gc * ur[c];
-      double den = gc;
-      if (c == 0) {
-        num += gw * vin_r;
-        den += gw;
-      } else {
-        num += gw * vr[c - 1];
-        den += gw;
-      }
-      if (c + 1 < C) {
-        num += gw * vr[c + 1];
-        den += gw;
-      }
-      const double nv = num / den;
-      row_delta = std::max(row_delta, std::abs(nv - vr[c]));
-      vr[c] = nv;
-
-      // Column node: neighbours along the column wire; the bottom node ties
-      // to the ADC virtual ground through one segment.
-      double cnum = gc * vr[c];
-      double cden = gc;
-      if (u_above != nullptr) {
-        cnum += gw * u_above[c];
-        cden += gw;
-      }
-      if (u_below != nullptr) {
-        cnum += gw * u_below[c];
-        cden += gw;
-      } else {
-        cnum += gw * 0.0;  // virtual ground
-        cden += gw;
-      }
-      const double nu = cnum / cden;
-      row_delta = std::max(row_delta, std::abs(nu - ur[c]));
-      ur[c] = nu;
-    }
-    return row_delta;
-  };
-
-  // Chunk size is a function of R only — determinism contract.
-  const std::size_t row_chunk = std::max<std::size_t>(8, R / 16);
-  std::vector<double> row_delta(R, 0.0);
-  status = SolveStatus{};
-  for (int iter = 0; iter < config_.nodal_max_iters; ++iter) {
-    ++status.iterations;
-    double max_delta = 0.0;
-    for (std::size_t colour = 0; colour < 2; ++colour) {
-      parallel_for(R, row_chunk, [&](std::size_t begin, std::size_t end, std::size_t) {
-        for (std::size_t r = begin; r < end; ++r) row_delta[r] = relax_row(r, colour);
-      });
-      // max() over a fixed index order: bit-identical at any thread count.
-      for (std::size_t r = 0; r < R; ++r) max_delta = std::max(max_delta, row_delta[r]);
-    }
-    status.residual = max_delta;
-    if (max_delta < kNodalTolRel * config_.read_voltage) {
-      status.converged = true;
-      break;
-    }
-  }
-  if (!status.converged) {
-    // An unconverged iterate is a silently wrong answer; the two-pass analytic
-    // estimate is a bounded-error approximation of the same network, so fall
-    // back to it and say so (once per array — sweeps reuse the instance).
-    status.used_fallback = true;
-    if (!nodal_warned_.exchange(true, std::memory_order_relaxed)) {
-      std::cerr << "[xlds] warning: nodal solve did not converge after "
-                << status.iterations << " iterations (residual "
-                << status.residual << " V on a " << R << 'x' << C
-                << " array); falling back to the analytic IR-drop estimate\n";
-    }
-    return currents_analytic(v_in);
-  }
-  // Read the column current as the sum of cell currents: identical to the
-  // bottom-segment current at convergence, but far better conditioned than
-  // u_last * g_wire (a tiny voltage times a huge conductance).
-  std::vector<double> out(C, 0.0);
-  for (std::size_t c = 0; c < C; ++c) {
-    double i_col = 0.0;
-    for (std::size_t r = 0; r < R; ++r)
-      i_col += g_.row_data(r)[c] * (v.row_data(r)[c] - u.row_data(r)[c]);
-    out[c] = i_col;
-  }
-  return out;
-}
-
 void Crossbar::currents_nodal_batch(const NodalSolver& solver, const MatrixD& v_in,
-                                    MatrixD& out, std::vector<SolveStatus>& statuses) const {
+                                    MatrixD& out) const {
   // Every query against the shared factorization, in blocks of
   // NodalSolver::kBlock that each stream the factor once; a ragged last
   // block goes through in blocks of kBlock / 2, kBlock / 4, ..., 1
   // (util::for_each_block).  Every block width gives each query solve()'s
   // exact arithmetic, and each block touches only its own rows of
-  // v_in/out/statuses, so the batch parallelises over blocks with
+  // v_in/out/residual, so the batch parallelises over blocks with
   // bit-identical per-query results at any thread count (the factorization
   // itself is read-only here).
   constexpr std::size_t kBlock = NodalSolver::kBlock;
   const std::size_t batch = v_in.rows();
-  const double tol = kNodalTolRel * config_.read_voltage;
+  std::vector<double> residual(batch);
   const std::size_t blocks = (batch + kBlock - 1) / kBlock;
   parallel_for(blocks, 1, [&](std::size_t begin, std::size_t end, std::size_t) {
     // One scratch per pool thread, reused across every block it solves
@@ -448,10 +321,21 @@ void Crossbar::currents_nodal_batch(const NodalSolver& solver, const MatrixD& v_
         NodalSolver::Result res[W];
         solver.solve_block<W>(v_in.row_data(b), v_in.cols(), out.row_data(b), out.cols(), res,
                               ws);
-        for (std::size_t k = 0; k < W; ++k) statuses[b + k] = direct_status(res[k], tol);
+        for (std::size_t k = 0; k < W; ++k) residual[b + k] = res[k].residual;
       });
     }
   });
+  // Checked after the batch, in query order, so the same query names the
+  // error at any thread count.
+  const double tol = kNodalTolRel * config_.read_voltage;
+  for (std::size_t b = 0; b < batch; ++b) {
+    if (residual[b] < tol) continue;
+    std::ostringstream os;
+    os << "nodal IR-drop solve of a " << config_.rows << 'x' << config_.cols
+       << " array: query " << b << " has residual " << residual[b] << " V, not below "
+       << tol << " V";
+    throw ModelDomainError(os.str());
+  }
 }
 
 void Crossbar::apply_readout_noise(double* currents) const {
@@ -472,27 +356,16 @@ void Crossbar::apply_readout_noise(double* currents) const {
 }
 
 std::vector<double> Crossbar::column_currents(const std::vector<double>& input) const {
-  SolveStatus status;
-  return column_currents(input, status);
-}
-
-std::vector<double> Crossbar::column_currents(const std::vector<double>& input,
-                                              SolveStatus& status) const {
   XLDS_REQUIRE_MSG(input.size() == config_.rows,
                    "input length " << input.size() << " != " << config_.rows << " rows");
-  std::vector<SolveStatus> statuses;
-  const MatrixD currents = readout_batch(MatrixD::one_row(input), &statuses);
-  status = statuses[0];
-  return currents.row(0);
+  return readout_batch(MatrixD::one_row(input)).row(0);
 }
 
-MatrixD Crossbar::readout_batch(const MatrixD& inputs,
-                                std::vector<SolveStatus>* statuses) const {
+MatrixD Crossbar::readout_batch(const MatrixD& inputs) const {
   XLDS_REQUIRE_MSG(inputs.cols() == config_.rows,
                    "batch inputs have " << inputs.cols() << " columns, need " << config_.rows
                                         << " (one input vector per row)");
   const std::size_t batch = inputs.rows();
-  if (statuses != nullptr) statuses->assign(batch, SolveStatus{});
 
   // DAC quantisation is pure (no RNG): all rows up front.
   MatrixD v_in(batch, config_.rows);
@@ -526,21 +399,9 @@ MatrixD Crossbar::readout_batch(const MatrixD& inputs,
         }
       });
       break;
-    case IrDropMode::kNodal: {
-      std::vector<SolveStatus> local(batch);
-      const NodalSolver* solver = ensure_factorized();
-      if (solver != nullptr) currents_nodal_batch(*solver, v_in, out, local);
-      // A query without a converged direct solve (direct path off or
-      // declined, or a residual above the tolerance) takes the iterative
-      // path.
-      for (std::size_t b = 0; b < batch; ++b) {
-        if (local[b].converged) continue;
-        const std::vector<double> i = currents_nodal_gs(v_in.row_data(b), local[b]);
-        std::copy(i.begin(), i.end(), out.row_data(b));
-      }
-      if (statuses != nullptr) *statuses = std::move(local);
+    case IrDropMode::kNodal:
+      currents_nodal_batch(ensure_factorized(), v_in, out);
       break;
-    }
   }
 
   // Read noise consumes the instance RNG strictly in row order, so a batch

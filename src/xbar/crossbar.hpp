@@ -7,11 +7,11 @@
 //   * DAC-quantised inputs and ADC-quantised outputs,
 //   * IR drop along row/column wires — either a fast two-pass analytic
 //     estimate or an exact nodal solve for validation.  The nodal solve is
-//     served by a cached sparse LDL^T factorization of the two-layer
-//     conductance matrix (see nodal_solver.hpp): the matrix depends only on
-//     the programmed state, so repeated readouts amortise one factorization
-//     across every query, with red-black Gauss-Seidel kept as the fallback
-//     and cross-check,
+//     a cached sparse LDL^T factorization of the two-layer conductance
+//     matrix (see nodal_solver.hpp): the matrix depends only on the
+//     programmed state, so repeated readouts amortise one factorization
+//     across every query.  A nodal readout returns the direct solve or
+//     throws ModelDomainError; it never substitutes another model,
 //   * conductance relaxation over time (age()), which is what destabilises
 //     near-plane LSH bits in Fig. 4C,
 //   * differential column pairs for signed weights.
@@ -20,7 +20,6 @@
 // a single query is a one-row batch.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <mutex>
 #include <string>
@@ -39,16 +38,20 @@ namespace xlds::xbar {
 enum class IrDropMode {
   kNone,      ///< ideal wires
   kAnalytic,  ///< two-pass fixed-point estimate (fast, default)
-  kNodal,     ///< exact nodal solve (factorized direct / Gauss-Seidel)
+  kNodal,     ///< exact nodal solve (cached direct factorization)
 };
 
 std::string to_string(IrDropMode mode);
 
-/// Nodal-solve convergence tolerance, relative to the read voltage: a solve
-/// is accepted when the largest node-voltage update (Gauss-Seidel sweep) or
-/// Jacobi-scaled residual (direct solve) falls below
-/// kNodalTolRel * read_voltage.
+/// Residual bar of the direct nodal solve, relative to the read voltage: a
+/// kNodal readout throws ModelDomainError unless every query's Jacobi-scaled
+/// residual falls below kNodalTolRel * read_voltage.
 inline constexpr double kNodalTolRel = 1e-7;
+
+/// Storage cap of the cached LDL^T factor.  A kNodal readout of an array
+/// whose factor would exceed it (square arrays from 256x256) throws
+/// ModelDomainError instead of allocating the profile.
+inline constexpr std::size_t kNodalMaxFactorBytes = std::size_t{256} << 20;
 
 struct CrossbarConfig {
   device::RramParams rram;
@@ -64,16 +67,8 @@ struct CrossbarConfig {
   IrDropMode ir_drop = IrDropMode::kAnalytic;
   double read_noise_rel = 0.005;  ///< column-current read noise, fraction of the measured current
   double settle_time = 1.0e-9;    ///< analog settling window per MVM, s
-  int nodal_max_iters = 2000;     ///< Gauss-Seidel iteration budget (kNodal mode)
-  /// Use the factorization-cached direct nodal solver (kNodal mode).  The
-  /// factorization is built lazily on the first nodal readout after a
-  /// programming change and reused for every subsequent query; Gauss-Seidel
-  /// remains the fallback when disabled, declined (memory cap) or on numeric
-  /// breakdown.
-  bool nodal_direct = true;
-  /// Memory cap for the cached LDL^T factor; larger systems fall back to
-  /// Gauss-Seidel instead of allocating an oversized profile.
-  std::size_t nodal_direct_max_bytes = 256u << 20;
+  /// Unread; kept only because perfbench/dse_workloads.cpp assigns it.
+  int nodal_max_iters = 2000;
 };
 
 /// One cell of a programming patch: the crosspoint at (row, col) gets the
@@ -82,15 +77,6 @@ struct CellDelta {
   std::size_t row = 0;
   std::size_t col = 0;
   double g_new = 0.0;
-};
-
-/// Outcome of a nodal solve (kNodal mode).
-struct SolveStatus {
-  bool converged = false;
-  std::size_t iterations = 0;  ///< Gauss-Seidel sweeps (0 for a direct solve)
-  double residual = 0.0;      ///< largest node update / scaled residual, V
-  bool used_fallback = false; ///< analytic estimate substituted for an unconverged solve
-  bool direct = false;        ///< solved via the cached factorization
 };
 
 /// Cost of one analog MVM through the array.
@@ -103,8 +89,8 @@ class Crossbar {
  public:
   Crossbar(CrossbarConfig config, Rng& rng);
 
-  /// Copies restart with a cold solver cache and cleared last-solve status
-  /// (both are per-instance scratch, rebuilt lazily).
+  /// Copies restart with a cold solver cache (per-instance scratch, rebuilt
+  /// lazily).
   Crossbar(const Crossbar& other);
   Crossbar(Crossbar&& other) noexcept;
   Crossbar& operator=(const Crossbar&) = delete;
@@ -165,19 +151,17 @@ class Crossbar {
   /// DAC-quantised, with IR drop and read noise applied.  Read-noise draws
   /// come from the instance RNG in row order, so a batch reads exactly what
   /// its rows read one at a time.  In kNodal mode all rows share one cached
-  /// factorization and the forward/back substitutions run in parallel over
-  /// blocks of rows via util::parallel — results are thread-count invariant.
-  /// When `statuses` is non-null it receives one SolveStatus per row (only
-  /// meaningful in kNodal mode; other modes leave it default).
-  MatrixD readout_batch(const MatrixD& inputs,
-                        std::vector<SolveStatus>* statuses = nullptr) const;
+  /// factorization (built even for an empty batch) and the forward/back
+  /// substitutions run in parallel over blocks of rows via util::parallel —
+  /// results are thread-count invariant.  A kNodal readout throws
+  /// ModelDomainError, before drawing any noise, when the factorization is
+  /// declined (its factor would exceed kNodalMaxFactorBytes, or a pivot
+  /// breaks down) or when a query's residual misses the kNodalTolRel bar;
+  /// the lowest-index such query names the error at any thread count.
+  MatrixD readout_batch(const MatrixD& inputs) const;
 
   /// One input's column currents: a one-row readout_batch.
   std::vector<double> column_currents(const std::vector<double>& input) const;
-
-  /// As above, reporting the row's nodal solve outcome.
-  std::vector<double> column_currents(const std::vector<double>& input,
-                                      SolveStatus& status) const;
 
   /// Signed MVM using differential pairs: inputs [batch x rows] in [0, 1] ->
   /// [batch x weights.cols()] ADC-quantised dot products scaled back to
@@ -220,24 +204,21 @@ class Crossbar {
   struct NodalCache {
     std::mutex mu;
     NodalSolver solver;
-    bool ready = false;      ///< `solver` holds the current state's factor
-    bool attempted = false;  ///< factorization tried since the last invalidation
+    bool ready = false;  ///< `solver` holds the current state's factor
   };
 
   // The IR-drop models below take one query's `rows` row voltages (already
   // DAC-quantised and scaled by read_voltage).
   std::vector<double> currents_ideal(const double* v_in) const;
   std::vector<double> currents_analytic(const double* v_in) const;
-  /// Iterative red-black Gauss-Seidel path, started cold from the drivers.
-  std::vector<double> currents_nodal_gs(const double* v_in, SolveStatus& status) const;
   /// Factorized multi-RHS path over every query; rhs/out are
-  /// [batch x rows]/[batch x cols], statuses has one entry per query.
-  void currents_nodal_batch(const NodalSolver& solver, const MatrixD& v_in, MatrixD& out,
-                            std::vector<SolveStatus>& statuses) const;
+  /// [batch x rows]/[batch x cols].  Throws for the lowest-index query whose
+  /// residual misses the kNodalTolRel bar.
+  void currents_nodal_batch(const NodalSolver& solver, const MatrixD& v_in, MatrixD& out) const;
   /// Lazily (re)factorize, once per programming state, and return the cached
-  /// direct solver, or nullptr when the direct path is disabled or the
-  /// factorization was declined.
-  const NodalSolver* ensure_factorized() const;
+  /// direct solver; throws ModelDomainError when the factorization is
+  /// declined (the next readout tries again).
+  const NodalSolver& ensure_factorized() const;
   /// Mark the cached factorization stale (the programmed conductances
   /// changed); the next kNodal readout refactorizes into its storage.
   void invalidate_nodal_cache();
@@ -249,7 +230,6 @@ class Crossbar {
   double wire_r_per_cell_;  ///< ohm per crosspoint pitch
   mutable Rng rng_;
   mutable NodalCache nodal_cache_;
-  mutable std::atomic<bool> nodal_warned_{false};  ///< non-convergence warning throttle
   MatrixD g_;               ///< programmed conductances [rows x cols]
   Matrix<std::uint8_t> stuck_;  ///< 1 = crosspoint pinned by a defect
   std::vector<std::uint8_t> adc_dead_;  ///< 1 = the column's sensing lane is dead

@@ -187,9 +187,9 @@ void substitute(const Network& net, const double* vals, const double* v_in, std:
     }
   }
 
-  // Residual in Gauss-Seidel units (largest Jacobi node update the iterative
-  // solver would still make), and the column currents as the sum of cell
-  // currents — same well-conditioned readout the iterative path uses.  A
+  // Residual as the largest Jacobi node update a sweep would still make, and
+  // the column currents as the sum of cell currents (better conditioned than
+  // the bottom segment's tiny voltage times a huge wire conductance).  A
   // residual keeps the larger of itself and the new term, as std::max does.
   for (std::size_t k = 0; k < W; ++k) {
     res[k].residual = 0.0;

@@ -124,7 +124,7 @@ bool NodalSolver::factorize(const MatrixD& g, double g_wire, std::size_t max_byt
   panel_l_.assign(panel_t_.size(), 0.0);
   // SPD by construction (a connected resistor network with every node tied
   // to the driver or ground); a non-positive pivot means numeric breakdown
-  // — decline and let the caller use Gauss-Seidel.
+  // — decline.
   if (!kernels_->factorize(network(), vals_.data(), panel_t_.data(), panel_l_.data())) {
     reset();
     return false;

@@ -11,9 +11,8 @@
 // voltages.  So a repeated-readout workload (LSH hashing, MANN episodes,
 // MVM sweeps, the DSE nodal rung) can assemble and factorize the matrix
 // once per programming state and answer every subsequent input vector with
-// a forward/back substitution: orders of magnitude cheaper than re-running
-// Gauss-Seidel from a cold start per query (the XbarSim decomposition
-// observation).
+// a forward/back substitution instead of solving the network again per
+// query (the XbarSim decomposition observation).
 //
 // Ordering and storage.  Nodes are interleaved (v, u) per cell and laid out
 // along the shorter array dimension, which bounds the matrix half-bandwidth
@@ -76,11 +75,11 @@ class NodalSolver {
   /// `g` (R x C, siemens) and per-segment wire conductance `g_wire`, then
   /// factorize it.  Returns false — leaving the solver not ready, its
   /// storage released — if the factor would exceed `max_bytes` of storage or
-  /// the factorization breaks down numerically (the caller falls back to the
-  /// iterative solve).  A solver may be refactorized any number of times: a
-  /// factorization overwrites the previous one in the same storage, so a
-  /// same-shape refactorization allocates nothing and gives the bytes a
-  /// fresh solver would.
+  /// the factorization breaks down numerically.  The cap is checked before
+  /// any factor value is allocated.  A solver may be refactorized any number
+  /// of times: a factorization overwrites the previous one in the same
+  /// storage, so a same-shape refactorization allocates nothing and gives the
+  /// bytes a fresh solver would.
   bool factorize(const MatrixD& g, double g_wire, std::size_t max_bytes);
 
   bool ready() const noexcept { return ready_; }
@@ -121,8 +120,8 @@ class NodalSolver {
 
   struct Result {
     /// Largest Jacobi update magnitude max_i |b - A x|_i / A_ii of the
-    /// solution, in volts — directly comparable to the Gauss-Seidel
-    /// convergence criterion (largest node-voltage update of a sweep).
+    /// solution, in volts: the node-voltage change one Jacobi sweep would
+    /// still make.  Crossbar holds it below kNodalTolRel * read_voltage.
     double residual = 0.0;
   };
 

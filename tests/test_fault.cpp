@@ -287,50 +287,6 @@ TEST_F(FaultTest, CrossbarFaultMapPinsConductances) {
   EXPECT_GT(currents[0], 0.0);
 }
 
-TEST_F(FaultTest, NodalSolveFallsBackWhenBudgetExhausted) {
-  xbar::CrossbarConfig cfg;
-  cfg.rows = 16;
-  cfg.cols = 16;
-  cfg.apply_variation = false;
-  cfg.read_noise_rel = 0.0;
-  cfg.ir_drop = xbar::IrDropMode::kNodal;
-  // Starve the iterative path specifically — the direct solver would answer
-  // without consuming the iteration budget.
-  cfg.nodal_direct = false;
-  cfg.nodal_max_iters = 1;
-  Rng r1(52);
-  xbar::Crossbar starved(cfg, r1);
-  MatrixD g(16, 16, 20e-6);
-  starved.program_conductances(g);
-
-  const std::vector<double> x(16, 1.0);
-  xbar::SolveStatus status;
-  const auto i_starved = starved.column_currents(x, status);
-  EXPECT_FALSE(status.converged);
-  EXPECT_TRUE(status.used_fallback);
-  EXPECT_EQ(status.iterations, 1u);
-  EXPECT_GT(status.residual, 0.0);
-
-  // The fallback result is exactly the analytic estimate.
-  cfg.ir_drop = xbar::IrDropMode::kAnalytic;
-  Rng r2(52);
-  xbar::Crossbar analytic(cfg, r2);
-  analytic.program_conductances(g);
-  const auto i_analytic = analytic.column_currents(x);
-  for (std::size_t c = 0; c < 16; ++c) EXPECT_EQ(i_starved[c], i_analytic[c]);
-
-  // A sane budget converges and reports it.
-  cfg.ir_drop = xbar::IrDropMode::kNodal;
-  cfg.nodal_max_iters = 2000;
-  Rng r3(52);
-  xbar::Crossbar healthy(cfg, r3);
-  healthy.program_conductances(g);
-  xbar::SolveStatus healthy_status;
-  healthy.column_currents(x, healthy_status);
-  EXPECT_TRUE(healthy_status.converged);
-  EXPECT_FALSE(healthy_status.used_fallback);
-}
-
 // ---- CAM injection --------------------------------------------------------
 
 cam::FeFetCamConfig quiet_cam(std::size_t rows, std::size_t cols) {

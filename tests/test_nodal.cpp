@@ -1,12 +1,13 @@
-// Tests for the factorization-cached nodal IR-drop solver: agreement with
-// the Gauss-Seidel reference across shapes (including degenerate and
-// non-square arrays, faults and aged cells) and with a dense reference solve
-// that shares no code with the solver, the packed factor's bytes against a
+// Tests for the factorization-cached nodal IR-drop solver: agreement with a
+// dense reference solve and with a Gauss-Seidel reference, neither sharing
+// code with the solver, across shapes (including degenerate and non-square
+// arrays, faults and aged cells), the packed factor's bytes against a
 // row-by-row reference factorization, both kernel builds (portable and AVX2)
 // byte for byte against that factor and a scalar reference substitution, the
 // invalidation contract on program/fault/age, results independent of readout
 // history, batched-vs-single bit-equality across the blocked substitution's
-// block edges and thread counts, and the per-call SolveStatus reporting.
+// block edges and thread counts, one factorization per programming state,
+// and the throw past the factor's byte cap.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,10 +21,12 @@
 #include <utility>
 #include <vector>
 
+#include "circuit/converter.hpp"
 #include "core/counters.hpp"
 #include "device/technology.hpp"
 #include "fault/fault_map.hpp"
 #include "mann/lsh.hpp"
+#include "util/error.hpp"
 #include "util/matrix.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -47,9 +50,6 @@ xbar::CrossbarConfig quiet_config(std::size_t rows, std::size_t cols) {
   cfg.apply_variation = false;
   cfg.read_noise_rel = 0.0;
   cfg.ir_drop = xbar::IrDropMode::kNodal;
-  // Give the iterative reference enough budget to actually converge on the
-  // denser shapes; the direct path does not consume it.
-  cfg.nodal_max_iters = 50000;
   return cfg;
 }
 
@@ -69,102 +69,9 @@ std::vector<double> ramp_input(std::size_t rows) {
   return x;
 }
 
-// Direct and Gauss-Seidel answers agree within the iterative solver's real
-// accuracy.  The direct solve is machine-precision; Gauss-Seidel stops when
-// the last sweep's update drops below kNodalTolRel * V, which bounds the
-// remaining solution error only up to the convergence-rate amplification
-// (error ~ update / (1 - rho), with rho near 1 on the larger arrays) — a few
-// parts in 1e4 of the column magnitude in practice.
-void expect_currents_close(const std::vector<double>& a, const std::vector<double>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  double scale = 0.0;
-  for (double v : a) scale = std::max(scale, std::abs(v));
-  ASSERT_GT(scale, 0.0);
-  for (std::size_t c = 0; c < a.size(); ++c)
-    EXPECT_NEAR(a[c], b[c], 1e-3 * scale) << "column " << c;
-}
-
-// ---- factorized vs Gauss-Seidel across shapes -------------------------------
-
 struct ShapeCase {
   std::size_t rows, cols;
 };
-
-class NodalShapeTest : public NodalTest, public ::testing::WithParamInterface<ShapeCase> {};
-
-TEST_P(NodalShapeTest, DirectMatchesGaussSeidel) {
-  const auto [rows, cols] = GetParam();
-  auto cfg = quiet_config(rows, cols);
-  const MatrixD g = mixed_conductances(rows, cols, cfg.rram, 7 + rows * 131 + cols);
-  const std::vector<double> x = ramp_input(rows);
-
-  Rng r1(3);
-  xbar::Crossbar direct(cfg, r1);
-  direct.program_conductances(g);
-  xbar::SolveStatus ds;
-  const auto i_direct = direct.column_currents(x, ds);
-  EXPECT_TRUE(ds.direct);
-  EXPECT_TRUE(ds.converged);
-  EXPECT_EQ(ds.iterations, 0u);
-  EXPECT_FALSE(ds.used_fallback);
-  // The factorized residual must beat the Gauss-Seidel acceptance bar.
-  EXPECT_LT(ds.residual, xbar::kNodalTolRel * cfg.read_voltage);
-  EXPECT_TRUE(direct.nodal_factorized());
-
-  cfg.nodal_direct = false;
-  Rng r2(3);
-  xbar::Crossbar gs(cfg, r2);
-  gs.program_conductances(g);
-  xbar::SolveStatus gss;
-  const auto i_gs = gs.column_currents(x, gss);
-  ASSERT_TRUE(gss.converged);
-  EXPECT_FALSE(gss.direct);
-  EXPECT_GT(gss.iterations, 0u);
-
-  expect_currents_close(i_direct, i_gs);
-}
-
-INSTANTIATE_TEST_SUITE_P(Shapes, NodalShapeTest,
-                         ::testing::Values(ShapeCase{1, 1}, ShapeCase{1, 8}, ShapeCase{8, 1},
-                                           ShapeCase{16, 16}, ShapeCase{64, 64},
-                                           ShapeCase{48, 32}, ShapeCase{32, 48}),
-                         [](const ::testing::TestParamInfo<ShapeCase>& info) {
-                           return std::to_string(info.param.rows) + "x" +
-                                  std::to_string(info.param.cols);
-                         });
-
-// ---- agreement with faults and aged cells -----------------------------------
-
-TEST_F(NodalTest, DirectMatchesGaussSeidelWithFaultsAndAging) {
-  auto cfg = quiet_config(24, 24);
-  const MatrixD g = mixed_conductances(24, 24, cfg.rram, 99);
-
-  const auto prepare = [&](xbar::Crossbar& xb) {
-    xb.program_conductances(g);
-    xb.inject_stuck_fault(0, 0, cfg.rram.g_max);  // stuck-on
-    xb.inject_stuck_fault(3, 7, 0.0);             // open cell
-    xb.inject_stuck_fault(23, 23, cfg.rram.g_min);
-    xb.age(3600.0);  // relax the surviving cells
-  };
-
-  Rng r1(11);
-  xbar::Crossbar direct(cfg, r1);
-  prepare(direct);
-  xbar::SolveStatus ds;
-  const auto i_direct = direct.column_currents(ramp_input(24), ds);
-  EXPECT_TRUE(ds.direct);
-  EXPECT_TRUE(ds.converged);
-
-  cfg.nodal_direct = false;
-  Rng r2(11);
-  xbar::Crossbar gs(cfg, r2);
-  prepare(gs);
-  xbar::SolveStatus gss;
-  const auto i_gs = gs.column_currents(ramp_input(24), gss);
-  ASSERT_TRUE(gss.converged);
-
-  expect_currents_close(i_direct, i_gs);
-}
 
 // ---- invalidation contract --------------------------------------------------
 
@@ -289,30 +196,16 @@ TEST_P(NodalBatchTest, ReadoutBatchBitIdenticalToSequentialSingles) {
   xbar::Crossbar single(cfg, r_single);
   single.program_conductances(g);
   std::vector<std::vector<double>> want(bc.batch);
-  std::vector<xbar::SolveStatus> want_status(bc.batch);
-  for (std::size_t b = 0; b < bc.batch; ++b) {
-    const std::vector<double> x(xs.row_data(b), xs.row_data(b) + n);
-    want[b] = single.column_currents(x, want_status[b]);
-  }
+  for (std::size_t b = 0; b < bc.batch; ++b)
+    want[b] = single.column_currents(std::vector<double>(xs.row_data(b), xs.row_data(b) + n));
 
   for (const std::size_t threads : {1u, 8u}) {
     set_parallel_threads(threads);
     Rng r_batch(13);
     xbar::Crossbar batched(cfg, r_batch);
     batched.program_conductances(g);
-    std::vector<xbar::SolveStatus> statuses;
-    const MatrixD out = batched.readout_batch(xs, &statuses);
-    ASSERT_EQ(statuses.size(), bc.batch);
+    const MatrixD out = batched.readout_batch(xs);
     for (std::size_t b = 0; b < bc.batch; ++b) {
-      const xbar::SolveStatus& got = statuses[b];
-      const xbar::SolveStatus& exp = want_status[b];
-      EXPECT_TRUE(got.direct) << threads << " lanes, query " << b;
-      EXPECT_TRUE(got.converged) << threads << " lanes, query " << b;
-      EXPECT_EQ(got.direct, exp.direct) << threads << " lanes, query " << b;
-      EXPECT_EQ(got.converged, exp.converged) << threads << " lanes, query " << b;
-      EXPECT_EQ(got.iterations, exp.iterations) << threads << " lanes, query " << b;
-      EXPECT_EQ(got.used_fallback, exp.used_fallback) << threads << " lanes, query " << b;
-      EXPECT_EQ(bits(got.residual), bits(exp.residual)) << threads << " lanes, query " << b;
       for (std::size_t c = 0; c < cols; ++c)
         EXPECT_EQ(bits(out(b, c)), bits(want[b][c]))
             << threads << " lanes, query " << b << " column " << c;
@@ -378,16 +271,10 @@ TEST_F(NodalTest, ReadoutHistoryChangesNoResult) {
 }
 
 TEST_F(NodalTest, BatchedReadoutCoversAllIrDropModes) {
-  // kNodal twice: the factorized path, then Gauss-Seidel with the direct
-  // solver off.
-  const std::pair<xbar::IrDropMode, bool> modes[] = {{xbar::IrDropMode::kNone, true},
-                                                     {xbar::IrDropMode::kAnalytic, true},
-                                                     {xbar::IrDropMode::kNodal, true},
-                                                     {xbar::IrDropMode::kNodal, false}};
-  for (const auto& [mode, direct] : modes) {
+  for (const xbar::IrDropMode mode :
+       {xbar::IrDropMode::kNone, xbar::IrDropMode::kAnalytic, xbar::IrDropMode::kNodal}) {
     auto cfg = quiet_config(8, 8);
     cfg.ir_drop = mode;
-    cfg.nodal_direct = direct;
     cfg.read_noise_rel = 0.01;
     const MatrixD g = mixed_conductances(8, 8, cfg.rram, 61);
     const MatrixD xs = batch_inputs(4, 8, 62);
@@ -404,8 +291,7 @@ TEST_F(NodalTest, BatchedReadoutCoversAllIrDropModes) {
       const std::vector<double> x(xs.row_data(b), xs.row_data(b) + 8);
       const auto i = single.column_currents(x);
       for (std::size_t c = 0; c < 8; ++c)
-        EXPECT_EQ(out(b, c), i[c]) << to_string(mode) << (direct ? "" : " (GS)") << " row " << b
-                                   << " col " << c;
+        EXPECT_EQ(out(b, c), i[c]) << to_string(mode) << " row " << b << " col " << c;
     }
   }
 }
@@ -434,56 +320,47 @@ TEST_F(NodalTest, BatchedMvmBitIdenticalToSequentialMvm) {
   }
 }
 
-// ---- Gauss-Seidel fallback --------------------------------------------------
+// ---- one factorization per programming state, and the factor cap ----------
 
-TEST_F(NodalTest, MemoryCapFallsBackToGaussSeidel) {
-  auto cfg = quiet_config(16, 16);
-  cfg.nodal_direct_max_bytes = 64;  // below any real factor size
-  Rng rng(29);
-  xbar::Crossbar xb(cfg, rng);
-  xb.program_conductances(mixed_conductances(16, 16, cfg.rram, 81));
-  xbar::SolveStatus s;
-  (void)xb.column_currents(ramp_input(16), s);
-  EXPECT_FALSE(s.direct);
-  EXPECT_TRUE(s.converged);
-  EXPECT_GT(s.iterations, 0u);
-  EXPECT_FALSE(xb.nodal_factorized());
-}
-
-TEST_F(NodalTest, GaussSeidelIsOrderIndependent) {
-  // Every Gauss-Seidel solve starts cold, so a readout depends only on the
-  // conductances and its own input, never on the queries before it.
-  auto cfg = quiet_config(32, 32);
-  cfg.nodal_direct = false;
-  Rng rng(31);
-  xbar::Crossbar xb(cfg, rng);
-  xb.program_conductances(mixed_conductances(32, 32, cfg.rram, 91));
-  const std::vector<double> x = ramp_input(32);
-  const std::vector<double> y(x.rbegin(), x.rend());
-  xbar::SolveStatus first, again;
-  const auto i_first = xb.column_currents(x, first);
-  (void)xb.column_currents(y);
-  const auto i_again = xb.column_currents(x, again);
-  ASSERT_TRUE(first.converged);
-  ASSERT_TRUE(again.converged);
-  EXPECT_FALSE(again.direct);
-  EXPECT_EQ(again.iterations, first.iterations);
-  ASSERT_EQ(i_again.size(), i_first.size());
-  EXPECT_EQ(std::memcmp(i_again.data(), i_first.data(), i_first.size() * sizeof(double)), 0);
-}
-
-TEST_F(NodalTest, PerCallStatusReflectsDirectSolve) {
-  auto cfg = quiet_config(8, 8);
+TEST_F(NodalTest, OneRowReadoutsShareOneFactorization) {
+  // Every readout of one programmed array substitutes against the one factor
+  // the first readout built.
+  const std::size_t n = 16, readouts = kBlock + 1;
+  const auto cfg = quiet_config(n, n);
   Rng rng(37);
   xbar::Crossbar xb(cfg, rng);
-  xb.program_conductances(mixed_conductances(8, 8, cfg.rram, 101));
-  xbar::SolveStatus s;
-  (void)xb.column_currents(ramp_input(8), s);
-  EXPECT_TRUE(s.direct);
-  EXPECT_TRUE(s.converged);
-  EXPECT_FALSE(s.used_fallback);
-  EXPECT_EQ(s.iterations, 0u);
-  EXPECT_LT(s.residual, xbar::kNodalTolRel * cfg.read_voltage);
+  xb.program_conductances(mixed_conductances(n, n, cfg.rram, 101));
+  const MatrixD xs = batch_inputs(readouts, n, 102);
+  const core::NodalCounts before = core::Profiler::nodal();
+  for (std::size_t b = 0; b < readouts; ++b) (void)xb.column_currents(xs.row(b));
+  const core::NodalCounts spent = core::Profiler::nodal() - before;
+  EXPECT_EQ(spent.factorizations, 1u);
+  EXPECT_EQ(spent.direct_solves, readouts);
+  EXPECT_EQ(spent.update_declines, 0u);
+}
+
+TEST_F(NodalTest, ReadoutPastTheFactorCapThrows) {
+  // 256x256 is the smallest square array whose factor exceeds
+  // kNodalMaxFactorBytes.  The cap is checked before any factor value is
+  // allocated, and nothing remembers a decline: every readout tries again.
+  const std::size_t n = 256;
+  const auto cfg = quiet_config(n, n);
+  Rng rng(29);
+  xbar::Crossbar xb(cfg, rng);
+  const std::vector<double> x = ramp_input(n);
+  for (const char* attempt : {"first", "second"}) {
+    try {
+      (void)xb.column_currents(x);
+      ADD_FAILURE() << attempt << " readout returned";
+    } catch (const ModelDomainError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("256x256"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::to_string(xbar::kNodalMaxFactorBytes >> 20) + " MiB cap"),
+                std::string::npos)
+          << what;
+    }
+    EXPECT_FALSE(xb.nodal_factorized()) << attempt;
+  }
 }
 
 TEST_F(NodalTest, ConcurrentReadoutsOnSharedInstanceAgree) {
@@ -916,6 +793,14 @@ std::vector<double> dense_column_currents(const MatrixD& g, double gw,
   return i_col;
 }
 
+// The conductances an array holds after programming, faults and aging.
+MatrixD programmed_conductances(const xbar::Crossbar& xb) {
+  MatrixD g(xb.rows(), xb.cols());
+  for (std::size_t r = 0; r < xb.rows(); ++r)
+    for (std::size_t c = 0; c < xb.cols(); ++c) g(r, c) = xb.conductance(r, c);
+  return g;
+}
+
 class NodalShapeOracleTest : public NodalTest,
                              public ::testing::WithParamInterface<ShapeCase> {};
 
@@ -930,9 +815,7 @@ TEST_P(NodalShapeOracleTest, ColumnCurrentsMatchDenseNodalSolve) {
   xb.program_conductances(targets);
   xb.inject_stuck_fault(0, cols - 1, 0.0);              // open
   xb.inject_stuck_fault(rows - 1, 0, cfg.rram.g_max);  // stuck on
-  MatrixD g(rows, cols);
-  for (std::size_t r = 0; r < rows; ++r)
-    for (std::size_t c = 0; c < cols; ++c) g(r, c) = xb.conductance(r, c);
+  const MatrixD g = programmed_conductances(xb);
 
   // Inputs on the DAC's levels k / (2^bits - 1), so quantisation is exact.
   const double levels = static_cast<double>((1u << cfg.dac.bits) - 1);
@@ -944,9 +827,8 @@ TEST_P(NodalShapeOracleTest, ColumnCurrentsMatchDenseNodalSolve) {
   }
   const double gw = wire_conductance(cfg);
 
-  xbar::SolveStatus status;
-  const std::vector<double> got = xb.column_currents(x, status);
-  ASSERT_TRUE(status.direct);
+  const std::vector<double> got = xb.column_currents(x);
+  ASSERT_TRUE(xb.nodal_factorized());
   const std::vector<double> want = dense_column_currents(g, gw, v_in);
   for (std::size_t c = 0; c < cols; ++c)
     EXPECT_LE(std::abs(got[c] - want[c]), 1e-12 * std::abs(want[c]))
@@ -960,6 +842,127 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<ShapeCase>& info) {
       return std::to_string(info.param.rows) + "x" + std::to_string(info.param.cols);
     });
+
+// ---- Gauss-Seidel reference -------------------------------------------------
+
+// Column currents of the same network by red-black Gauss-Seidel, serial and
+// built from the network description like the dense oracle, which cannot
+// reach a 64x64 array.  Row wires start at their driver voltages and column
+// wires at ground; a sweep relaxes every node of one (r + c) parity, then
+// the other, and the solve stops when a sweep's largest node update falls
+// below `tol`, or after a fixed budget of sweeps.
+struct GaussSeidelResult {
+  std::vector<double> i_col;
+  std::size_t sweeps = 0;
+  bool converged = false;
+};
+
+GaussSeidelResult gauss_seidel_column_currents(const MatrixD& g, double gw,
+                                               const std::vector<double>& v_in, double tol) {
+  constexpr std::size_t kMaxSweeps = 50000;
+  const std::size_t rows = g.rows(), cols = g.cols();
+  MatrixD v(rows, cols), u(rows, cols, 0.0);
+  for (std::size_t r = 0; r < rows; ++r)
+    for (std::size_t c = 0; c < cols; ++c) v(r, c) = v_in[r];
+  GaussSeidelResult res;
+  while (!res.converged && res.sweeps < kMaxSweeps) {
+    ++res.sweeps;
+    double largest = 0.0;
+    for (std::size_t colour = 0; colour < 2; ++colour) {
+      for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t c = (r + colour) & 1u; c < cols; c += 2) {
+          // Row node: the cell, the segment to its left (to the driver at
+          // c == 0) and the one to its right, if any.
+          double num = g(r, c) * u(r, c) + gw * (c == 0 ? v_in[r] : v(r, c - 1));
+          double den = g(r, c) + gw;
+          if (c + 1 < cols) {
+            num += gw * v(r, c + 1);
+            den += gw;
+          }
+          largest = std::max(largest, std::abs(num / den - v(r, c)));
+          v(r, c) = num / den;
+          // Column node: the cell, the segment above, if any, and the one
+          // below (to the ADC's virtual ground in the last row).
+          num = g(r, c) * v(r, c) + (r + 1 < rows ? gw * u(r + 1, c) : 0.0);
+          den = g(r, c) + gw;
+          if (r > 0) {
+            num += gw * u(r - 1, c);
+            den += gw;
+          }
+          largest = std::max(largest, std::abs(num / den - u(r, c)));
+          u(r, c) = num / den;
+        }
+      }
+    }
+    res.converged = largest < tol;
+  }
+  res.i_col.assign(cols, 0.0);
+  for (std::size_t r = 0; r < rows; ++r)
+    for (std::size_t c = 0; c < cols; ++c) res.i_col[c] += g(r, c) * (v(r, c) - u(r, c));
+  return res;
+}
+
+// The row voltages a readout drives for inputs x: DAC-quantised, scaled by
+// the read voltage.
+std::vector<double> row_voltages(const xbar::CrossbarConfig& cfg, const std::vector<double>& x) {
+  const circuit::DacModel dac(cfg.dac);
+  std::vector<double> v(x.size());
+  for (std::size_t r = 0; r < x.size(); ++r)
+    v[r] = dac.quantise(x[r], 0.0, 1.0) * cfg.read_voltage;
+  return v;
+}
+
+// The direct answer against the reference within the reference's real
+// accuracy.  The direct solve is machine-precision; Gauss-Seidel stops when
+// the last sweep's update drops below kNodalTolRel * V, which bounds the
+// remaining solution error only up to the convergence-rate amplification
+// (error ~ update / (1 - rho), with rho near 1 on the larger arrays) — a few
+// parts in 1e4 of the column magnitude in practice.
+void expect_matches_gauss_seidel(const xbar::Crossbar& xb, const std::vector<double>& x) {
+  const std::vector<double> i_direct = xb.column_currents(x);
+  const xbar::CrossbarConfig& cfg = xb.config();
+  const GaussSeidelResult gs =
+      gauss_seidel_column_currents(programmed_conductances(xb), wire_conductance(cfg),
+                                   row_voltages(cfg, x), xbar::kNodalTolRel * cfg.read_voltage);
+  ASSERT_TRUE(gs.converged) << "no convergence in " << gs.sweeps << " sweeps";
+  EXPECT_GT(gs.sweeps, 1u);
+  ASSERT_EQ(i_direct.size(), gs.i_col.size());
+  double scale = 0.0;
+  for (double i : i_direct) scale = std::max(scale, std::abs(i));
+  ASSERT_GT(scale, 0.0);
+  for (std::size_t c = 0; c < i_direct.size(); ++c)
+    EXPECT_NEAR(i_direct[c], gs.i_col[c], 1e-3 * scale) << "column " << c;
+}
+
+class NodalShapeTest : public NodalTest, public ::testing::WithParamInterface<ShapeCase> {};
+
+TEST_P(NodalShapeTest, DirectMatchesGaussSeidel) {
+  const auto [rows, cols] = GetParam();
+  const auto cfg = quiet_config(rows, cols);
+  Rng rng(3);
+  xbar::Crossbar xb(cfg, rng);
+  xb.program_conductances(mixed_conductances(rows, cols, cfg.rram, 7 + rows * 131 + cols));
+  expect_matches_gauss_seidel(xb, ramp_input(rows));
+  EXPECT_TRUE(xb.nodal_factorized());
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, NodalShapeTest,
+                         ::testing::Values(ShapeCase{1, 1}, ShapeCase{1, 8}, ShapeCase{8, 1},
+                                           ShapeCase{16, 16}, ShapeCase{64, 64},
+                                           ShapeCase{48, 32}, ShapeCase{32, 48}),
+                         shape_name);
+
+TEST_F(NodalTest, DirectMatchesGaussSeidelWithFaultsAndAging) {
+  const auto cfg = quiet_config(24, 24);
+  Rng rng(11);
+  xbar::Crossbar xb(cfg, rng);
+  xb.program_conductances(mixed_conductances(24, 24, cfg.rram, 99));
+  xb.inject_stuck_fault(0, 0, cfg.rram.g_max);  // stuck-on
+  xb.inject_stuck_fault(3, 7, 0.0);             // open cell
+  xb.inject_stuck_fault(23, 23, cfg.rram.g_min);
+  xb.age(3600.0);  // relax the surviving cells
+  expect_matches_gauss_seidel(xb, ramp_input(24));
+}
 
 // ---- downstream batch users -------------------------------------------------
 

@@ -1,7 +1,8 @@
 // Tests for the deterministic parallel execution layer: chunking/edge cases,
 // exception propagation, and the core invariant — results are bit-identical
 // regardless of the thread count — exercised on the Monte Carlo variation
-// sweep, the red-black nodal solver and the full triage evaluate_all path.
+// sweep and the full triage evaluate_all path (the nodal solver's width
+// invariance is pinned in test_nodal.cpp).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,7 +16,6 @@
 #include "device/fefet.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
-#include "xbar/crossbar.hpp"
 
 namespace xlds {
 namespace {
@@ -131,46 +131,6 @@ TEST_F(ParallelTest, McSweepBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial, parallel);
   const std::size_t total = std::accumulate(serial.begin(), serial.end(), std::size_t{0});
   EXPECT_GT(total, 0u);  // 3-bit cells at 94 mV do see level errors
-}
-
-// ---- determinism: red-black nodal solver -------------------------------------
-
-TEST_F(ParallelTest, NodalSolveBitIdenticalAcrossThreadCounts) {
-  const auto solve = [] {
-    xbar::CrossbarConfig cfg;
-    cfg.rows = 48;
-    cfg.cols = 48;
-    cfg.apply_variation = false;
-    cfg.read_noise_rel = 0.0;
-    cfg.ir_drop = xbar::IrDropMode::kNodal;
-    // Pin the iterative path: this test is about the Gauss-Seidel sweep
-    // (the direct solver answers in 0 iterations and is covered by
-    // test_nodal's thread-invariance cases).
-    cfg.nodal_direct = false;
-    Rng rng(11);
-    xbar::Crossbar xb(cfg, rng);
-    MatrixD g(48, 48, cfg.rram.g_min);
-    Rng fill(12);
-    for (double& v : g.data())
-      if (fill.bernoulli(0.5)) v = cfg.rram.g_max;
-    xb.program_conductances(g);
-    const std::vector<double> ones(48, 1.0);
-    xbar::SolveStatus status;
-    auto currents = xb.column_currents(ones, status);
-    return std::make_pair(std::move(currents), status.iterations);
-  };
-  set_parallel_threads(1);
-  const auto [currents_1t, iters_1t] = solve();
-  set_parallel_threads(8);
-  const auto [currents_8t, iters_8t] = solve();
-  ASSERT_EQ(currents_1t.size(), currents_8t.size());
-  for (std::size_t c = 0; c < currents_1t.size(); ++c) {
-    // Bitwise equality — the red-black sweep order is fixed, so the fixed
-    // point and the path to it are thread-count independent.
-    EXPECT_EQ(currents_1t[c], currents_8t[c]) << "column " << c;
-  }
-  EXPECT_EQ(iters_1t, iters_8t);
-  EXPECT_GT(iters_1t, 0u);
 }
 
 // ---- determinism: full triage sweep (enumerate + evaluate_all) ---------------

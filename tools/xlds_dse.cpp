@@ -122,7 +122,7 @@ int main(int argc, char** argv) {
     const auto& nodal = result.stats.nodal;
     std::cerr << "xlds-dse: nodal solver work: " << nodal.factorizations
               << " factorizations (" << nodal.update_declines << " dropped by a mutation), "
-              << nodal.direct_solves << " direct / " << nodal.gs_solves << " GS solves\n";
+              << nodal.direct_solves << " direct solves\n";
     const auto& sched = result.stats.scheduler;
     std::cerr << "xlds-dse: scheduler (" << xlds::parallel_thread_count() << " lanes): "
               << sched.counts.jobs << " jobs (" << sched.counts.inline_jobs << " inline), "
